@@ -139,12 +139,25 @@ void BM_EtreeAndCounts(benchmark::State& state) {
 }
 BENCHMARK(BM_EtreeAndCounts)->Arg(64)->Arg(128);
 
+// range(0) picks the pattern family of the end-to-end mtx-order workload
+// (0: 5-pt k x k grid, 1: 9-pt k x k grid, 2: 7-pt k^3 grid, 3: random
+// pattern with k vertices and average degree 4); range(1) is k.
 void BM_MinimumDegree(benchmark::State& state) {
-  const auto k = static_cast<sparse::Index>(state.range(0));
-  const auto g = sparse::grid2d(k, k);
+  const auto k = static_cast<sparse::Index>(state.range(1));
+  util::Rng rng(101);
+  const sparse::SymPattern g = state.range(0) == 0   ? sparse::grid2d(k, k)
+                               : state.range(0) == 1 ? sparse::grid2d_9pt(k, k)
+                               : state.range(0) == 2 ? sparse::grid3d(k, k, k)
+                                                     : sparse::random_symmetric(k, 4.0, rng);
   for (auto _ : state) benchmark::DoNotOptimize(sparse::minimum_degree(g).size());
 }
-BENCHMARK(BM_MinimumDegree)->Arg(32)->Arg(64);
+BENCHMARK(BM_MinimumDegree)
+    ->ArgNames({"family", "k"})
+    ->Args({0, 32})
+    ->Args({0, 64})
+    ->Args({1, 40})
+    ->Args({2, 12})
+    ->Args({3, 1200});
 
 void BM_AssemblyTree(benchmark::State& state) {
   const auto k = static_cast<sparse::Index>(state.range(0));

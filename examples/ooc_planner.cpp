@@ -31,7 +31,6 @@
 #include "src/service/request_io.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/matrix_market.hpp"
-#include "src/sparse/ordering.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/args.hpp"
 #include "src/util/stopwatch.hpp"
@@ -139,11 +138,8 @@ int main(int argc, char** argv) {
     core::Tree tree = [&] {
       if (args.has("tree")) return core::load_tree(args.get("tree", ""));
       if (args.has("snapshot")) return core::load_snapshot(args.get("snapshot", ""));
-      if (args.has("mtx")) {
-        const auto pattern = sparse::load_matrix_market(args.get("mtx", ""));
-        return sparse::assembly_tree(
-            pattern.permuted(sparse::minimum_degree(pattern)));
-      }
+      if (args.has("mtx"))
+        return sparse::mtx_assembly_tree(sparse::load_matrix_market(args.get("mtx", "")));
       if (args.has("demo")) {
         util::Rng rng(12345);
         return treegen::synth_instance(500, 1, 100, rng);

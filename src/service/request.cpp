@@ -8,7 +8,6 @@
 #include "src/core/tree_io.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/matrix_market.hpp"
-#include "src/sparse/ordering.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/text.hpp"
@@ -171,10 +170,8 @@ core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed) {
         return core::Tree::from_parents(request.parent, request.weight, request.model);
       case TreeSource::kTreeFile:
         return core::load_tree(request.path);
-      case TreeSource::kMatrixMarket: {
-        const auto pattern = sparse::load_matrix_market(request.path);
-        return sparse::assembly_tree(pattern.permuted(sparse::minimum_degree(pattern)));
-      }
+      case TreeSource::kMatrixMarket:
+        return sparse::mtx_assembly_tree(sparse::load_matrix_market(request.path));
       case TreeSource::kSnapshot:
         return core::load_snapshot(request.path);
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/sparse/ordering.hpp"
+
 namespace ooctree::sparse {
 
 namespace {
@@ -69,6 +71,10 @@ core::Tree assembly_tree(const SymPattern& pattern, const AssemblyOptions& optio
 core::Tree assembly_tree_ordered(const SymPattern& pattern, const std::vector<Index>& perm,
                                  const AssemblyOptions& options) {
   return assembly_tree(pattern.permuted(perm), options);
+}
+
+core::Tree mtx_assembly_tree(const SymPattern& pattern) {
+  return assembly_tree(pattern.permuted(minimum_degree(pattern)));
 }
 
 }  // namespace ooctree::sparse

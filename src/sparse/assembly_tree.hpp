@@ -35,4 +35,10 @@ struct AssemblyOptions {
                                                const std::vector<Index>& perm,
                                                const AssemblyOptions& options = {});
 
+/// The one rule that turns a `.mtx` pattern into a task tree: minimum
+/// degree ordering, then the amalgamated assembly tree with default
+/// options. The service, `tree_pack` and `ooc_planner` all call it, so a
+/// packed `.otree` and a served `.mtx` of one matrix are the same tree.
+[[nodiscard]] core::Tree mtx_assembly_tree(const SymPattern& pattern);
+
 }  // namespace ooctree::sparse

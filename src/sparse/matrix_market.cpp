@@ -57,9 +57,15 @@ SymPattern read_matrix_market(std::istream& in) {
   if (rows != cols) throw std::runtime_error("matrix market: matrix is not square");
   if (rows <= 0 || rows > (std::int64_t{1} << 30))
     throw std::runtime_error("matrix market: dimension out of range");
+  if (entries < 0) throw std::runtime_error("matrix market: negative entry count");
 
+  // The size line is a claim, not a fact: reserve at most what a short body
+  // could back, and let the vector grow with the entries actually read. A
+  // huge count over a truncated body then fails as truncated instead of
+  // allocating first.
+  constexpr std::int64_t kMaxReserve = std::int64_t{1} << 16;
   std::vector<std::pair<Index, Index>> coo;
-  coo.reserve(static_cast<std::size_t>(entries));
+  coo.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)));
   for (std::int64_t e = 0; e < entries; ++e) {
     std::int64_t i = 0, j = 0;
     if (!(in >> i >> j))

@@ -4,6 +4,7 @@
 // case, so a regression pinpoints the exact configuration that broke.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <tuple>
 
 #include "src/core/brute_force.hpp"
@@ -60,6 +61,35 @@ Tree build(Family f, std::size_t n, Weight w_hi, util::Rng& rng) {
   throw std::logic_error("unknown family");
 }
 
+// Properties about eviction need a tree whose optimal peak exceeds LB.
+// Such a test draws with seed, seed + 1, ... until one does, so it never
+// skips. Two families cannot qualify and are checked for needing no I/O
+// instead: a chain has one traversal, and a caterpillar's postorder holds
+// at most a spine node's inputs, so both peak at LB.
+constexpr int kResampleTries = 64;
+
+bool never_needs_io(Family f) { return f == Family::kChain || f == Family::kCaterpillar; }
+
+/// The first of draw(seed), draw(seed + 1), ... that needs I/O below its
+/// optimal peak, or nullopt after kResampleTries draws.
+template <typename Draw>
+std::optional<Tree> first_needing_io(const Draw& draw, int seed) {
+  for (int k = 0; k < kResampleTries; ++k) {
+    Tree t = draw(seed + k);
+    if (core::opt_minmem(t).peak > t.min_feasible_memory()) return t;
+  }
+  return std::nullopt;
+}
+
+/// For a never_needs_io family: every strategy plans the tree at M = LB
+/// without I/O.
+void expect_needs_no_io(const Tree& t) {
+  const Weight lb = t.min_feasible_memory();
+  EXPECT_EQ(core::opt_minmem(t).peak, lb);
+  for (const core::Strategy s : core::all_strategies())
+    EXPECT_EQ(core::run_strategy(s, t, lb).io_volume(), 0) << core::strategy_name(s);
+}
+
 // ---------------------------------------------------------------------------
 // Exact-optimality sweep: small instances vs the brute-force oracles.
 // ---------------------------------------------------------------------------
@@ -78,11 +108,16 @@ TEST_P(ExactSweep, OptMinMemMatchesBruteForce) {
 
 TEST_P(ExactSweep, HeuristicsBoundedByBruteForceMinIo) {
   const auto [family, n, w_hi, seed] = GetParam();
-  util::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 17);
-  const Tree t = build(family, static_cast<std::size_t>(n), w_hi, rng);
+  const auto draw = [&](int s) {
+    util::Rng rng(static_cast<std::uint64_t>(s) * 104729 + 17);
+    return build(family, static_cast<std::size_t>(n), w_hi, rng);
+  };
+  if (never_needs_io(family)) return expect_needs_no_io(draw(seed));
+  const std::optional<Tree> sample = first_needing_io(draw, seed);
+  ASSERT_TRUE(sample.has_value()) << "no draw needs I/O";
+  const Tree& t = *sample;
   const Weight lb = t.min_feasible_memory();
   const Weight peak = core::opt_minmem(t).peak;
-  if (peak <= lb) GTEST_SKIP() << "instance needs no I/O at any feasible bound";
   const Weight m = (lb + peak) / 2;
   const Weight opt = core::brute_force_min_io(t, m).objective;
   EXPECT_GE(core::run_strategy(core::Strategy::kPostOrderMinIo, t, m).io_volume(), opt);
@@ -111,8 +146,9 @@ using InvariantParams = std::tuple<Family, int /*n*/, int /*w_hi*/, int /*seed*/
 
 class InvariantSweep : public testing::TestWithParam<InvariantParams> {
  protected:
-  Tree make() const {
-    const auto [family, n, w_hi, seed] = GetParam();
+  Tree make() const { return draw(std::get<3>(GetParam())); }
+  Tree draw(int seed) const {
+    const auto [family, n, w_hi, unused] = GetParam();
     util::Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
     return build(family, static_cast<std::size_t>(n), w_hi, rng);
   }
@@ -145,10 +181,13 @@ TEST_P(InvariantSweep, FifEvaluationsAreValidTraversals) {
 TEST_P(InvariantSweep, RecExpandSandwich) {
   // RecExpand is bounded below by the peak-gap bound and above by
   // OptMinMem's I/O (it only ever refines the OptMinMem plan).
-  const Tree t = make();
+  if (never_needs_io(std::get<0>(GetParam()))) return expect_needs_no_io(make());
+  const std::optional<Tree> sample =
+      first_needing_io([this](int s) { return draw(s); }, std::get<3>(GetParam()));
+  ASSERT_TRUE(sample.has_value()) << "no draw needs I/O";
+  const Tree& t = *sample;
   const Weight lb = t.min_feasible_memory();
   const Weight peak = core::opt_minmem(t).peak;
-  if (peak <= lb) GTEST_SKIP();
   const Weight m = (lb + peak) / 2;
   const Weight rec = core::run_strategy(core::Strategy::kRecExpand, t, m).io_volume();
   EXPECT_GE(rec, core::io_lower_bound_peak_gap(t, m));
@@ -234,18 +273,24 @@ using ExtensionParams = std::tuple<Family, int /*n*/, int /*seed*/>;
 
 class ExtensionSweep : public testing::TestWithParam<ExtensionParams> {
  protected:
-  Tree make() const {
-    const auto [family, n, seed] = GetParam();
+  Tree draw(int seed) const {
+    const auto [family, n, unused] = GetParam();
     util::Rng rng(static_cast<std::uint64_t>(seed) * 2741 + 11);
     return build(family, static_cast<std::size_t>(n), 20, rng);
+  }
+  std::optional<Tree> make_needing_io() const {
+    return first_needing_io([this](int s) { return draw(s); }, std::get<2>(GetParam()));
   }
 };
 
 TEST_P(ExtensionSweep, AtomicDominatesFractional) {
-  const Tree t = make();
+  const auto [family, n, seed] = GetParam();
+  if (never_needs_io(family)) return expect_needs_no_io(draw(seed));
+  const std::optional<Tree> sample = make_needing_io();
+  ASSERT_TRUE(sample.has_value()) << "no draw needs I/O";
+  const Tree& t = *sample;
   const Weight lb = t.min_feasible_memory();
   const Weight peak = core::opt_minmem(t).peak;
-  if (peak <= lb) GTEST_SKIP();
   const Weight m = (lb + peak) / 2;
   const auto schedule = core::opt_minmem(t).schedule;
   const Weight fractional = core::simulate_fif(t, schedule, m).io_volume;
@@ -260,10 +305,13 @@ TEST_P(ExtensionSweep, AtomicDominatesFractional) {
 }
 
 TEST_P(ExtensionSweep, PolishNeverWorse) {
-  const Tree t = make();
+  const auto [family, n, seed] = GetParam();
+  if (never_needs_io(family)) return expect_needs_no_io(draw(seed));
+  const std::optional<Tree> sample = make_needing_io();
+  ASSERT_TRUE(sample.has_value()) << "no draw needs I/O";
+  const Tree& t = *sample;
   const Weight lb = t.min_feasible_memory();
   const Weight peak = core::opt_minmem(t).peak;
-  if (peak <= lb) GTEST_SKIP();
   const Weight m = (lb + peak) / 2;
   const auto base = core::run_strategy(core::Strategy::kPostOrderMinIo, t, m);
   core::PolishOptions opts;

@@ -19,7 +19,6 @@
 #include "src/service/request_io.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/matrix_market.hpp"
-#include "src/sparse/ordering.hpp"
 #include "src/util/rng.hpp"
 #include "tests/test_support.hpp"
 
@@ -408,9 +407,7 @@ TEST(PlanService, MatrixMarketRequestMatchesDirectPipeline) {
   const PlanResponse response = planner.plan(request);
   ASSERT_TRUE(response.stats->ok) << response.stats->error;
 
-  const auto pattern = sparse::load_matrix_market(path);
-  const core::Tree tree =
-      sparse::assembly_tree(pattern.permuted(sparse::minimum_degree(pattern)));
+  const core::Tree tree = sparse::mtx_assembly_tree(sparse::load_matrix_market(path));
   EXPECT_EQ(response.stats->tree_hash, tree.canonical_hash());
   EXPECT_EQ(response.stats->nodes, tree.size());
   EXPECT_EQ(response.stats->lb, tree.min_feasible_memory());

@@ -319,6 +319,32 @@ TEST(MatrixMarket, RejectsMalformed) {
   EXPECT_THROW((void)sparse::read_matrix_market(truncated), std::runtime_error);
 }
 
+/// The message read_matrix_market throws on `text`, or "" if it succeeds.
+std::string matrix_market_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)sparse::read_matrix_market(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixMarket, RejectsNegativeEntryCount) {
+  const std::string error =
+      matrix_market_error("%%MatrixMarket matrix coordinate pattern symmetric\n4 4 -3\n2 1\n");
+  EXPECT_NE(error.find("matrix market: negative entry count"), std::string::npos) << error;
+}
+
+TEST(MatrixMarket, HugeEntryCountOnTruncatedBodyFailsAsTruncated) {
+  // 2^40 claimed entries, one present: the reader must report truncation,
+  // not try to allocate 2^40 pairs up front.
+  const std::string error = matrix_market_error(
+      "%%MatrixMarket matrix coordinate pattern symmetric\n4 4 1099511627776\n2 1\n");
+  EXPECT_NE(error.find("matrix market: truncated entry list at entry 1"), std::string::npos)
+      << error;
+}
+
 TEST(Generators, BorderedBlockDiagonal) {
   util::Rng rng(31);
   const SymPattern p = sparse::bordered_block_diagonal(4, 10, 6, 2, rng);

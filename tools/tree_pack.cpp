@@ -17,7 +17,6 @@
 #include "src/core/tree_io.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/matrix_market.hpp"
-#include "src/sparse/ordering.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/args.hpp"
 #include "src/util/rng.hpp"
@@ -84,10 +83,7 @@ int run(const util::Args& args) {
     }
     const std::string in = args.get("in", "");
     if (in.empty()) throw std::runtime_error("tree_pack: need --in FILE or --synth N");
-    if (ends_with(in, ".mtx")) {
-      const auto pattern = sparse::load_matrix_market(in);
-      return sparse::assembly_tree(pattern.permuted(sparse::minimum_degree(pattern)));
-    }
+    if (ends_with(in, ".mtx")) return sparse::mtx_assembly_tree(sparse::load_matrix_market(in));
     if (ends_with(in, ".otree")) return core::load_snapshot(in);  // re-pack / model change
     return core::load_tree(in);
   }();
