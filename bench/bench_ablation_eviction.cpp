@@ -1,6 +1,6 @@
 // Ablation A1: eviction policies. Theorem 1 says FiF/Belady is optimal for
-// a fixed schedule; this bench quantifies how much worse LRU, FIFO, random
-// and largest-first evictions are on SYNTH instances, replaying the
+// a fixed schedule; this bench quantifies how much worse LRU, random and
+// largest-first evictions are on SYNTH instances, replaying the
 // OptMinMem schedule through the paged parallel engine at workers = 1 with
 // strict in-order starts — the configuration simulate_parallel_paged pins
 // bit-identical to the sequential pager, so the repo has one replay engine
@@ -10,7 +10,6 @@
 
 #include "experiment.hpp"
 #include "src/core/minmem_optimal.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/thread_pool.hpp"
@@ -22,9 +21,9 @@ int main(int argc, char** argv) {
   const int count = bench::synth_count(scale) / 3;
   const auto data = bench::synth_dataset(count, bench::synth_nodes(scale), 424242);
 
-  const std::vector<iosim::Policy> policies{
-      iosim::Policy::kBelady, iosim::Policy::kLru, iosim::Policy::kFifo,
-      iosim::Policy::kRandom, iosim::Policy::kLargestFirst};
+  const std::vector<core::EvictionPolicy> policies{
+      core::EvictionPolicy::kBelady, core::EvictionPolicy::kLru, core::EvictionPolicy::kRandom,
+      core::EvictionPolicy::kLargestFirst};
 
   std::printf("== ablation A1: eviction policy vs Belady bound (%d instances) ==\n", count);
   util::CsvWriter csv("ablation_eviction.csv",
@@ -44,12 +43,12 @@ int main(int argc, char** argv) {
     Row& row = rows[i];
     row.memory = (lb + opt.peak - 1) / 2;
     row.kept = true;
-    for (const iosim::Policy p : policies) {
+    for (const core::EvictionPolicy p : policies) {
       parallel::ParallelConfig base;
       base.workers = 1;
       base.memory = row.memory;
       base.priority = parallel::Priority::kSequentialOrder;
-      base.backfill = false;
+      base.backfill_depth = 1;
       base.evict = p;
       base.seed = 7 + i;
       parallel::PagedParallelConfig c;
@@ -72,14 +71,14 @@ int main(int argc, char** argv) {
           belady > 0 ? static_cast<double>(rows[i].written[p]) / belady : 1.0;
       ratio_sum[p] += ratio;
       totals[p] += rows[i].written[p];
-      csv.row({data[i].name, rows[i].memory, iosim::policy_name(policies[p]),
+      csv.row({data[i].name, rows[i].memory, core::eviction_policy_name(policies[p]),
                rows[i].written[p], ratio});
     }
   }
 
   std::printf("%-14s %16s %18s\n", "policy", "total pages", "mean ratio/Belady");
   for (std::size_t p = 0; p < policies.size(); ++p) {
-    std::printf("%-14s %16lld %18.3f\n", iosim::policy_name(policies[p]).c_str(),
+    std::printf("%-14s %16lld %18.3f\n", core::eviction_policy_name(policies[p]).c_str(),
                 static_cast<long long>(totals[p]),
                 kept > 0 ? ratio_sum[p] / static_cast<double>(kept) : 0.0);
   }

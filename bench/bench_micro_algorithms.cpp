@@ -19,6 +19,7 @@
 #include "src/treegen/shapes.hpp"
 #include "src/treegen/weights.hpp"
 #include "src/util/rng.hpp"
+#include "tests/oracles/rec_expand_reference.hpp"
 
 namespace {
 
@@ -105,7 +106,7 @@ void BM_FullRecExpandReference_TightMemory(benchmark::State& state) {
   const Weight m = tight_memory(t);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        core::rec_expand_reference(t, m, core::RecExpandOptions{}).evaluation.io_volume);
+        core::oracle::rec_expand_reference(t, m, core::RecExpandOptions{}).evaluation.io_volume);
 }
 BENCHMARK(BM_FullRecExpandReference_TightMemory)->Arg(1000)->Arg(3000);
 

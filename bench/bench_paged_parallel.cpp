@@ -2,7 +2,7 @@
 //
 // Part 1 — eviction policies (the ROADMAP's "pager/parallel convergence"
 // payoff): simulate_parallel_paged runs the policy ablation (Belady / LRU /
-// FIFO / Random / LargestFirst) at paper scale with workers {1, 2, 4, 8} —
+// Random / LargestFirst) at paper scale with workers {1, 2, 4, 8} —
 // the sweep the sequential pager (bench_ablation_eviction) could only run
 // at workers = 1 — on SYNTH instances with page_size 32 at a tight memory
 // bound, plus a read-cost column (the iosim::DiskModel folded into the
@@ -10,11 +10,10 @@
 //
 // Part 2 — schedulers (the memory-aware scheduling PR): with the eviction
 // rule fixed at Belady, sweep the start-priority axis against the
-// sequential-order baseline: critical-path, heaviest-subtree,
-// reserved-critical-path (memory-penalized rank, two penalty strengths), a
-// bounded backfill look-ahead (depth 8) and residency-aware starts under
-// the disk model. Backfill scan/hit counters and failed starts are
-// recorded per row so scheduler deltas are attributable.
+// sequential-order baseline: critical-path, heaviest-subtree, a bounded
+// backfill look-ahead (depth 8) and residency-aware starts under the disk
+// model. Backfill scan/hit counters and failed starts are recorded per row
+// so scheduler deltas are attributable.
 //
 // Part 3 — the disk pipeline (asynchronous write queue + look-ahead
 // prefetch): with the scheduler fixed at sequential-order/depth-8 and
@@ -30,7 +29,7 @@
 // Every instance is differential-checked before it is measured:
 //   * page_size = 1 + free reads must be bit-identical to
 //     simulate_parallel (the unit engine is that specialization);
-//   * workers = 1 + sequential order + no backfill must reproduce
+//   * workers = 1 + sequential order + strict scan must reproduce
 //     iosim::run_pager's page I/O on the same schedule for every
 //     deterministic policy;
 //   * the pipelined engine with both knobs zero must reproduce the
@@ -68,6 +67,7 @@
 #include "src/core/minmem_postorder.hpp"
 #include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
+#include "src/service/request.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/rng.hpp"
@@ -109,41 +109,27 @@ struct Scheduler {
   Priority priority;
   int depth;            // backfill_depth (0 = unlimited)
   bool residency;       // residency-aware starts (disk runs only)
-  double penalty;       // reserve_penalty (kReservedCriticalPath only)
-  bool is_new;          // uses a feature the pre-PR engine did not have
+  bool is_new;          // uses bounded look-ahead or residency
 };
-
-const char* priority_label(Priority p) {
-  switch (p) {
-    case Priority::kSequentialOrder: return "sequential-order";
-    case Priority::kCriticalPath: return "critical-path";
-    case Priority::kHeaviestSubtree: return "heaviest-subtree";
-    case Priority::kReservedCriticalPath: return "reserved-critical-path";
-  }
-  return "?";
-}
 
 const std::vector<Scheduler>& schedulers() {
   static const std::vector<Scheduler> k{
       // The baseline: replay the paper's sequential schedule in order with
       // no look-ahead — when the next task in order does not fit, wait for
-      // memory. depth 1 is the strict scan the pre-PR backfill=false gave;
-      // its workers=1 row is the paper's sequential FiF execution (pinned
-      // to iosim::run_pager by differential check 2).
-      {"sequential-order", Priority::kSequentialOrder, 1, false, 1.0, false},
-      // Unlimited first-fit backfill — expressible pre-PR (backfill=true).
-      {"sequential-backfill", Priority::kSequentialOrder, 0, false, 1.0, false},
+      // memory. depth 1 is the strict scan; its workers=1 row is the
+      // paper's sequential FiF execution (pinned to iosim::run_pager by
+      // differential check 2).
+      {"sequential-order", Priority::kSequentialOrder, 1, false, false},
+      // Unlimited first-fit backfill.
+      {"sequential-backfill", Priority::kSequentialOrder, 0, false, false},
       // Bounded look-ahead: the new depth-K scan. K=8 is the sweet spot on
       // SYNTH at M=1.1*LB — deep enough to fill idle workers, shallow
       // enough not to pin far-future subtrees the way unlimited backfill
       // does (d8 beats BOTH strict and unlimited here).
-      {"sequential-d8", Priority::kSequentialOrder, 8, false, 1.0, true},
-      {"sequential-d8-residency", Priority::kSequentialOrder, 8, true, 1.0, true},
-      {"critical-path", Priority::kCriticalPath, 0, false, 1.0, false},
-      {"heaviest-subtree", Priority::kHeaviestSubtree, 0, false, 1.0, false},
-      {"reserved-cp", Priority::kReservedCriticalPath, 0, false, 1.0, true},
-      {"reserved-cp-d8", Priority::kReservedCriticalPath, 8, false, 1.0, true},
-      {"reserved-cp-residency", Priority::kReservedCriticalPath, 0, true, 1.0, true},
+      {"sequential-d8", Priority::kSequentialOrder, 8, false, true},
+      {"sequential-d8-residency", Priority::kSequentialOrder, 8, true, true},
+      {"critical-path", Priority::kCriticalPath, 0, false, false},
+      {"heaviest-subtree", Priority::kHeaviestSubtree, 0, false, false},
   };
   return k;
 }
@@ -234,8 +220,8 @@ int main(int argc, char** argv) {
   }
   const std::vector<int> worker_counts{1, 2, 4, 8};
   const std::vector<EvictionPolicy> policies{
-      EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kFifo,
-      EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst};
+      EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kRandom,
+      EvictionPolicy::kLargestFirst};
   const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
   std::printf("== paged parallel engine: eviction-policy + scheduler ablation ==\n");
@@ -269,14 +255,12 @@ int main(int argc, char** argv) {
       const Schedule reference = core::postorder_minmem(t).schedule;
 
       // Differential check 1: the unit engine is the page_size = 1
-      // specialization — pin it on this instance before measuring. The new
-      // priority rides along so the scheduler grid rests on a checked path.
-      for (const Priority priority :
-           {Priority::kCriticalPath, Priority::kReservedCriticalPath}) {
+      // specialization — pin it on this instance before measuring.
+      {
         ParallelConfig c;
         c.workers = 4;
         c.memory = memory;
-        c.priority = priority;
+        c.priority = Priority::kCriticalPath;
         PagedParallelConfig paged;
         paged.base = c;
         paged.page_size = 1;
@@ -290,8 +274,7 @@ int main(int argc, char** argv) {
       // Differential check 2: one worker on the reference order must
       // reproduce the sequential pager's page I/O, per policy.
       for (const EvictionPolicy policy :
-           {EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kFifo,
-            EvictionPolicy::kLargestFirst}) {
+           {EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kLargestFirst}) {
         iosim::PagerConfig pc;
         pc.page_size = kPageSize;
         pc.memory = memory;
@@ -301,7 +284,7 @@ int main(int argc, char** argv) {
         base.workers = 1;
         base.memory = memory;
         base.priority = Priority::kSequentialOrder;
-        base.backfill = false;
+        base.backfill_depth = 1;
         base.evict = policy;
         PagedParallelConfig paged;
         paged.base = base;
@@ -325,7 +308,7 @@ int main(int argc, char** argv) {
           base.workers = 1;
           base.memory = memory;
           base.priority = Priority::kSequentialOrder;
-          base.backfill = false;
+          base.backfill_depth = 1;
           base.evict = policy;
           PagedParallelConfig paged;
           paged.base = base;
@@ -408,7 +391,6 @@ int main(int argc, char** argv) {
           base.priority = sched.priority;
           base.backfill_depth = sched.depth;
           base.residency_aware = sched.residency;
-          base.reserve_penalty = sched.penalty;
           PagedParallelConfig paged;
           paged.base = base;
           paged.page_size = kPageSize;
@@ -446,7 +428,7 @@ int main(int argc, char** argv) {
           ++agg->reps;
 
           csv.row({static_cast<std::int64_t>(n), memory, disk.frames, workers, "Belady",
-                   sched.name, priority_label(sched.priority), sched.depth,
+                   sched.name, service::priority_name(sched.priority), sched.depth,
                    sched.residency ? 1 : 0, rep, seconds, free_reads.base.makespan,
                    disk.base.makespan, disk.read_stall, disk.pages_written, disk.pages_read,
                    disk.base.failed_starts, disk.base.backfill_scans,
@@ -584,8 +566,7 @@ int main(int argc, char** argv) {
   // wall-clock caps on single-core runners.
   //
   // Makespan gate: at every workers >= 2, the best NEW scheduler (bounded
-  // look-ahead, residency, or reserved priority — features the pre-PR
-  // engine lacked) must beat the sequential-order baseline's
+  // look-ahead or residency) must beat the sequential-order baseline's
   // mean_makespan_disk by >= 10%. The baseline figure is the baseline's
   // sequential execution (workers = 1): at M = 1.1*LB memory caps every
   // scheduler's parallel speedup near 1.75, so the meaningful claim — and
@@ -714,14 +695,14 @@ int main(int argc, char** argv) {
     const Scheduler& sched = schedulers()[a.scheduler];
     std::fprintf(json,
                  "    {\"n\": %zu, \"workers\": %d, \"scheduler\": \"%s\", "
-                 "\"backfill_depth\": %d, \"residency\": %s, \"reserve_penalty\": %.1f, "
+                 "\"backfill_depth\": %d, \"residency\": %s, "
                  "\"mean_makespan\": %.2f, \"mean_makespan_disk\": %.2f, "
                  "\"mean_read_stall\": %.2f, \"mean_pages_written_disk\": %.1f, "
                  "\"mean_pages_read_disk\": %.1f, \"mean_failed_starts\": %.1f, "
                  "\"mean_backfill_scans\": %.1f, \"mean_backfill_hits\": %.1f, "
                  "\"mean_utilization\": %.4f, \"reps\": %d}%s\n",
                  a.n, a.workers, sched.name, sched.depth, sched.residency ? "true" : "false",
-                 sched.penalty, a.makespan_total / a.reps, a.makespan_disk_total / a.reps,
+                 a.makespan_total / a.reps, a.makespan_disk_total / a.reps,
                  a.read_stall_total / a.reps,
                  static_cast<double>(a.pages_written_disk_total) / a.reps,
                  static_cast<double>(a.pages_read_disk_total) / a.reps,

@@ -2,8 +2,8 @@
 // wall-time versus tree size on SYNTH instances at M = 1.1 * LB, sweeping
 // the worker count and priority rule (under Belady eviction) plus the
 // eviction-policy axis (at the 4-worker critical-path point), measured for
-// both the indexed engine (simulate_parallel) and the retained scan-based
-// reference (simulate_parallel_reference).
+// both the indexed engine (simulate_parallel) and the scan-based test
+// oracle (tests/oracles/parallel_reference.hpp).
 //
 // Writes bench_parallel_scaling.csv (one row per run) and
 // bench_parallel_scaling.json (aggregated summary; an explicit copy lives
@@ -22,10 +22,12 @@
 
 #include "experiment.hpp"
 #include "src/parallel/parallel_sim.hpp"
+#include "src/service/request.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stopwatch.hpp"
+#include "tests/oracles/parallel_reference.hpp"
 
 namespace {
 
@@ -36,16 +38,6 @@ using core::Weight;
 using parallel::ParallelConfig;
 using parallel::ParallelResult;
 using parallel::Priority;
-
-const char* priority_name(Priority p) {
-  switch (p) {
-    case Priority::kSequentialOrder: return "sequential-order";
-    case Priority::kCriticalPath: return "critical-path";
-    case Priority::kHeaviestSubtree: return "heaviest-subtree";
-    case Priority::kReservedCriticalPath: return "reserved-critical-path";
-  }
-  return "?";
-}
 
 struct Aggregate {
   std::size_t n = 0;
@@ -109,12 +101,11 @@ int main(int argc, char** argv) {
   // The scheduler ablation: sequential-order is the baseline every other
   // priority's makespan column is read against.
   const std::vector<Priority> priorities{Priority::kCriticalPath, Priority::kHeaviestSubtree,
-                                         Priority::kSequentialOrder,
-                                         Priority::kReservedCriticalPath};
-  // The policy axis is swept at the 4-worker critical-path point; kBelady
-  // is covered by the workers x priority grid above it. The backfill-depth
-  // axis rides the 4-worker reserved-critical-path point (0 = unlimited is
-  // in the grid; 1 = strict priority, 8 = bounded look-ahead here).
+                                         Priority::kSequentialOrder};
+  // The policy and backfill-depth axes are swept at the 4-worker
+  // critical-path point; kBelady and depth 0 (unlimited) are covered by the
+  // workers x priority grid above it (1 = strict priority, 8 = bounded
+  // look-ahead here).
   const std::vector<EvictionPolicy> extra_policies{
       EvictionPolicy::kLru, EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst};
   const std::vector<int> extra_depths{1, 8};
@@ -153,7 +144,7 @@ int main(int argc, char** argv) {
       for (const EvictionPolicy e : extra_policies)
         combos.push_back({4, Priority::kCriticalPath, e, 0});
       for (const int d : extra_depths)
-        combos.push_back({4, Priority::kReservedCriticalPath, EvictionPolicy::kBelady, d});
+        combos.push_back({4, Priority::kCriticalPath, EvictionPolicy::kBelady, d});
 
       for (const Combo& combo : combos) {
         ParallelConfig config;
@@ -181,26 +172,26 @@ int main(int argc, char** argv) {
         agg->io_volume_total += inc.io_volume;
         agg->makespan_total += inc.makespan;
         ++agg->reps;
-        csv.row({static_cast<std::int64_t>(n), memory, combo.workers,
-                 priority_name(combo.priority), core::eviction_policy_name(combo.policy),
+        const std::string priority = service::priority_name(combo.priority);
+        const std::string policy = core::eviction_policy_name(combo.policy);
+        csv.row({static_cast<std::int64_t>(n), memory, combo.workers, priority, policy,
                  combo.depth, "incremental", rep, inc_seconds, inc.makespan, inc.io_volume,
                  inc.peak_resident, inc.failed_starts, inc.backfill_scans,
                  inc.backfill_hits});
 
         if (combo.policy == EvictionPolicy::kBelady && n <= reference_cap) {
           sw.reset();
-          const ParallelResult ref = parallel::simulate_parallel_reference(t, config);
+          const ParallelResult ref = parallel::oracle::simulate_parallel_reference(t, config);
           const double ref_seconds = sw.seconds();
           agg->reference_seconds += ref_seconds;
           ++agg->ref_reps;
-          csv.row({static_cast<std::int64_t>(n), memory, combo.workers,
-                   priority_name(combo.priority), core::eviction_policy_name(combo.policy),
+          csv.row({static_cast<std::int64_t>(n), memory, combo.workers, priority, policy,
                    combo.depth, "reference", rep, ref_seconds, ref.makespan, ref.io_volume,
                    ref.peak_resident, ref.failed_starts, ref.backfill_scans,
                    ref.backfill_hits});
           if (!identical(inc, ref)) {
             std::printf("DIFFERENTIAL MISMATCH at n=%zu workers=%d priority=%s rep=%d\n", n,
-                        combo.workers, priority_name(combo.priority), rep);
+                        combo.workers, priority.c_str(), rep);
             return 1;
           }
         }
@@ -212,14 +203,15 @@ int main(int argc, char** argv) {
               "inc (s)", "ref (s)", "speedup", "mean io");
   for (const Aggregate& a : aggregates) {
     const double inc = a.incremental_seconds / a.reps;
+    const std::string priority = service::priority_name(a.priority);
+    const std::string policy = core::eviction_policy_name(a.policy);
     if (a.ref_reps > 0) {
       std::printf("%-7zu %-3d %-17s %-13s %12.4f %12.4f %9.1fx %14.1f\n", a.n, a.workers,
-                  priority_name(a.priority), core::eviction_policy_name(a.policy).c_str(), inc,
-                  a.reference_seconds / a.ref_reps, a.speedup(), a.mean_io());
+                  priority.c_str(), policy.c_str(), inc, a.reference_seconds / a.ref_reps,
+                  a.speedup(), a.mean_io());
     } else {
       std::printf("%-7zu %-3d %-17s %-13s %12.4f %12s %10s %14.1f\n", a.n, a.workers,
-                  priority_name(a.priority), core::eviction_policy_name(a.policy).c_str(), inc,
-                  "-", "-", a.mean_io());
+                  priority.c_str(), policy.c_str(), inc, "-", "-", a.mean_io());
     }
   }
 
@@ -249,7 +241,7 @@ int main(int argc, char** argv) {
                  "\"incremental_seconds\": %.6f, \"reference_seconds\": %s, "
                  "\"speedup\": %s, \"mean_io_volume\": %.2f, \"mean_makespan\": %.2f, "
                  "\"reps\": %d}%s\n",
-                 a.n, a.workers, priority_name(a.priority),
+                 a.n, a.workers, service::priority_name(a.priority).c_str(),
                  core::eviction_policy_name(a.policy).c_str(), a.depth,
                  a.incremental_seconds / a.reps,
                  a.ref_reps > 0 ? std::to_string(a.reference_seconds / a.ref_reps).c_str()

@@ -1,7 +1,7 @@
 // Scaling benchmark for the incremental expansion engine: RecExpand /
 // FullRecExpand wall-time versus tree size on SYNTH instances at several
 // M/LB ratios, measured for both the incremental engine (rec_expand) and
-// the retained pre-incremental reference path (rec_expand_reference).
+// the pre-incremental test oracle (tests/oracles/rec_expand_reference.hpp).
 //
 // Writes bench_recexpand_scaling.csv (one row per run) and
 // bench_recexpand_scaling.json (aggregated summary; an explicit copy of it
@@ -25,6 +25,7 @@
 #include "src/util/csv.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stopwatch.hpp"
+#include "tests/oracles/rec_expand_reference.hpp"
 
 namespace {
 
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
 
           if (n <= reference_cap) {
             sw.reset();
-            const RecExpandResult ref = core::rec_expand_reference(t, memory, opts);
+            const RecExpandResult ref = core::oracle::rec_expand_reference(t, memory, opts);
             const double ref_seconds = sw.seconds();
             agg.reference_seconds += ref_seconds;
             ++agg.ref_reps;

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   // memory/page frames; grant the pager the rounded-up minimum.
   config.memory = std::max(
       memory, iosim::min_feasible_frames(tree, config.page_size) * config.page_size);
-  config.policy = iosim::Policy::kBelady;
+  config.policy = core::EvictionPolicy::kBelady;
   const auto replay = iosim::run_pager(tree, plan.schedule, config);
   if (!replay.feasible) throw std::runtime_error("pager replay infeasible");
   std::printf("\nwinner: %s; pager replay (page = %lld units): %lld pages written,"

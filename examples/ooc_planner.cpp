@@ -58,13 +58,11 @@ void usage(const char* prog) {
       "  --polish            run local-search polishing on the planned schedule\n"
       "  --workers N         also simulate N-worker parallel execution of the plan\n"
       "  --evict P           parallel eviction policy: belady (default) | lru |\n"
-      "                      fifo | random | largest\n"
+      "                      random | largest\n"
       "  --priority P        replay start order: sequential-order (default) |\n"
-      "                      critical-path | heaviest-subtree | reserved-critical-path\n"
+      "                      critical-path | heaviest-subtree\n"
       "  --backfill-depth K  ready tasks examined per free worker before the\n"
       "                      replay waits for memory (0 = unlimited, 1 = strict)\n"
-      "  --reserve-penalty L memory-penalty strength of reserved-critical-path\n"
-      "                      (default 1.0; 0 = plain critical-path)\n"
       "  --residency         prefer starts whose inputs are resident (paged\n"
       "                      replay with a disk model only)\n"
       "  --disk-latency S / --disk-bandwidth B\n"
@@ -249,7 +247,6 @@ int main(int argc, char** argv) {
       pc.memory = memory;
       pc.priority = service::priority_from_name(args.get("priority", "sequential-order"));
       pc.backfill_depth = static_cast<int>(args.get_int("backfill-depth", 0));
-      pc.reserve_penalty = args.get_double("reserve-penalty", 1.0);
       pc.residency_aware = args.has("residency");
       pc.write_queue_depth = static_cast<int>(args.get_int("write-queue-depth", 0));
       pc.prefetch_window = static_cast<int>(args.get_int("prefetch-window", 0));

@@ -96,8 +96,8 @@ std::vector<service::PlanRequest> demo_batch() {
       if (k % 8 == 0) {
         request.page_size = 16;  // exercise the paged replay
         if (k % 16 == 0) {
-          // ... and the memory-aware scheduler under a disk-cost model.
-          pc.priority = parallel::Priority::kReservedCriticalPath;
+          // ... and bounded backfill with residency-aware starts under a
+          // disk-cost model (depth 8 is the measured winner).
           pc.backfill_depth = 8;
           pc.residency_aware = true;
           request.disk_latency = 0.5;

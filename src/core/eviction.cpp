@@ -13,7 +13,6 @@ std::string eviction_policy_name(EvictionPolicy p) {
   switch (p) {
     case EvictionPolicy::kBelady: return "Belady";
     case EvictionPolicy::kLru: return "LRU";
-    case EvictionPolicy::kFifo: return "FIFO";
     case EvictionPolicy::kRandom: return "Random";
     case EvictionPolicy::kLargestFirst: return "LargestFirst";
   }
@@ -23,12 +22,13 @@ std::string eviction_policy_name(EvictionPolicy p) {
 EvictionPolicy eviction_policy_from_name(const std::string& name) {
   const std::string s = util::to_lower(name);
   if (s == "belady" || s == "fif") return EvictionPolicy::kBelady;
-  if (s == "lru") return EvictionPolicy::kLru;
-  if (s == "fifo") return EvictionPolicy::kFifo;
+  // FIFO keys on the same production clock as LRU everywhere, so it stays
+  // only as a spelling: request streams that name it still decode.
+  if (s == "lru" || s == "fifo") return EvictionPolicy::kLru;
   if (s == "random") return EvictionPolicy::kRandom;
   if (s == "largest" || s == "largestfirst") return EvictionPolicy::kLargestFirst;
   throw std::invalid_argument("unknown eviction policy '" + name +
-                              "' (belady | lru | fifo | random | largest)");
+                              "' (belady | lru | random | largest)");
 }
 
 namespace {
@@ -48,15 +48,9 @@ EvictionIndex::EvictionIndex(EvictionPolicy policy, std::size_t capacity, util::
 }
 
 std::int64_t EvictionIndex::normalize(std::int64_t key) const {
-  // Larger normalized key == evicted sooner. LRU/FIFO prefer the *oldest*
-  // clock, so their keys are flipped.
-  switch (policy_) {
-    case EvictionPolicy::kLru:
-    case EvictionPolicy::kFifo:
-      return -key;
-    default:
-      return key;
-  }
+  // Larger normalized key == evicted sooner. LRU prefers the *oldest*
+  // clock, so its keys are flipped.
+  return policy_ == EvictionPolicy::kLru ? -key : key;
 }
 
 void EvictionIndex::insert(NodeId id, std::int64_t key) {

@@ -5,14 +5,14 @@
 // question: "memory is short — which active datum loses units next?".
 // This module centralizes the answer. EvictionPolicy names the replacement
 // rules (Belady/FiF — the paper's Theorem 1 optimum — plus the classic
-// LRU/FIFO/Random/LargestFirst baselines the ablations compare against),
+// LRU/Random/LargestFirst baselines the ablations compare against),
 // and EvictionIndex keeps the evictable set *indexed* so a victim is found
 // in O(log n) (O(1) for Random) instead of the O(n) full-state scan the
 // seed simulators performed per eviction.
 //
 // The index is policy-agnostic at the container level: callers insert each
 // datum with an explicit 64-bit key (consumer step for Belady, a logical
-// clock for LRU/FIFO, the resident size for LargestFirst) and the policy
+// clock for LRU, the resident size for LargestFirst) and the policy
 // only decides which end of the key order is evicted first. Ties are broken
 // toward the smaller node id, so victim sequences are deterministic and the
 // scan-based reference engines can reproduce them bit-for-bit.
@@ -42,8 +42,10 @@ namespace ooctree::core {
 /// Replacement policies for choosing which active datum loses units.
 enum class EvictionPolicy : std::uint8_t {
   kBelady,        ///< evict the datum consumed furthest in the future (FiF)
-  kLru,           ///< least recently touched datum
-  kFifo,          ///< oldest resident datum
+  /// Least recently touched datum. The simulators touch a datum only when
+  /// it is produced or prefetched, so oldest-first (FIFO) is the same rule;
+  /// "fifo" parses to this value.
+  kLru,
   kRandom,        ///< uniform among evictable data
   kLargestFirst,  ///< datum with the most resident units
 };
@@ -51,7 +53,8 @@ enum class EvictionPolicy : std::uint8_t {
 [[nodiscard]] std::string eviction_policy_name(EvictionPolicy p);
 
 /// Inverse of eviction_policy_name, case-insensitive, also accepting the
-/// short CLI spellings (belady | fif | lru | fifo | random | largest).
+/// short CLI spellings (belady | fif | lru | random | largest); "fifo" is an
+/// alias of lru.
 /// Throws std::invalid_argument on unknown names.
 [[nodiscard]] EvictionPolicy eviction_policy_from_name(const std::string& name);
 
@@ -80,7 +83,7 @@ class EvictionIndex {
   /// The current victim, or kNoNode when the set is empty. The entry stays
   /// in the index: the caller erases it (full eviction) or re-keys it
   /// (partial eviction under kLargestFirst). Victim order: best policy key
-  /// first — largest for kBelady/kLargestFirst, smallest for kLru/kFifo —
+  /// first — largest for kBelady/kLargestFirst, smallest for kLru —
   /// with ties to the smaller id; kRandom draws uniformly per call.
   [[nodiscard]] NodeId pick();
 

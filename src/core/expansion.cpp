@@ -66,37 +66,6 @@ ExpandedTree ExpandedTree::expand(NodeId i, Weight tau) const {
   return out;
 }
 
-ExpandedTree ExpandedTree::expand_rebuild(NodeId i, Weight tau) const {
-  if (i < 0 || idx(i) >= tree.size()) throw std::invalid_argument("expand: bad node id");
-  if (tau < 0 || tau > tree.weight(i)) throw std::invalid_argument("expand: tau out of range");
-
-  const auto n = tree.size();
-  // New ids: old node k keeps id k; i stays i1 (kCompute keeps its old
-  // children); i2 = n, i3 = n + 1 take over upward edges.
-  std::vector<NodeId> parent(n + 2, kNoNode);
-  std::vector<Weight> weight(n + 2, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    parent[k] = tree.parent(static_cast<NodeId>(k));
-    weight[k] = tree.weight(static_cast<NodeId>(k));
-  }
-  const auto i2 = static_cast<NodeId>(n);
-  const auto i3 = static_cast<NodeId>(n + 1);
-  parent[idx(i3)] = tree.parent(i);  // i3 replaces i below i's parent
-  parent[idx(i2)] = i3;
-  parent[idx(i)] = i2;
-  weight[idx(i2)] = tree.weight(i) - tau;
-  weight[idx(i3)] = tree.weight(i);
-
-  std::vector<NodeId> new_origin = origin;
-  new_origin.push_back(origin[idx(i)]);
-  new_origin.push_back(origin[idx(i)]);
-  std::vector<ExpansionRole> new_role = role;
-  new_role.push_back(ExpansionRole::kShrunk);
-  new_role.push_back(ExpansionRole::kRestored);
-  return ExpandedTree{Tree::from_parents(std::move(parent), std::move(weight), tree.memory_model()),
-                      std::move(new_origin), std::move(new_role), expansion_volume + tau};
-}
-
 Schedule ExpandedTree::map_schedule(const Schedule& expanded_schedule) const {
   Schedule out;
   out.reserve(expanded_schedule.size());

@@ -51,12 +51,6 @@ struct ExpandedTree {
   /// than) a chain of expand() calls; O(n + expansions) overall.
   void expand_all(const IoFunction& io);
 
-  /// Reference implementation of expand(): rebuilds the whole tree through
-  /// Tree::from_parents (the pre-incremental code path). Retained so the
-  /// differential suite can check TreeBuilder against a full rebuild, and
-  /// for rec_expand_reference.
-  [[nodiscard]] ExpandedTree expand_rebuild(NodeId i, Weight tau) const;
-
   /// Maps a schedule of the expanded tree back to the original tree by
   /// keeping the kCompute events only.
   [[nodiscard]] Schedule map_schedule(const Schedule& expanded_schedule) const;

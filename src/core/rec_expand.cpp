@@ -229,80 +229,4 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
   return result;
 }
 
-RecExpandResult rec_expand_reference(const Tree& tree, Weight memory,
-                                     const RecExpandOptions& options) {
-  RecExpandResult result;
-
-  ExpandedTree expanded = ExpandedTree::identity(tree);
-  std::vector<NodeId> top_rep(tree.size());
-  for (std::size_t k = 0; k < tree.size(); ++k) top_rep[k] = static_cast<NodeId>(k);
-
-  const std::vector<Weight> orig_peak = opt_minmem_all_peaks(tree);
-
-  std::size_t total_expansions = 0;
-
-  const std::vector<NodeId> order = tree.postorder();
-  for (const NodeId r : order) {
-    if (orig_peak[idx(r)] <= memory) continue;
-
-    std::size_t node_expansions = 0;
-    for (;;) {
-      std::vector<NodeId> old_ids;
-      const Tree sub = expanded.tree.subtree(top_rep[idx(r)], &old_ids);
-      const OptMinMemResult opt = opt_minmem(sub);
-      if (opt.peak <= memory) break;
-      if (node_expansions >= options.max_expansions_per_node) break;
-      if (total_expansions >= options.global_expansion_cap) break;
-
-      const FifResult fif = simulate_fif(sub, opt.schedule, memory);
-      const std::vector<std::size_t> pos = schedule_positions(sub, opt.schedule);
-      NodeId victim = kNoNode;
-      std::int64_t victim_key = 0;
-      for (std::size_t k = 0; k < sub.size(); ++k) {
-        if (fif.io[k] <= 0) continue;
-        const NodeId knode = static_cast<NodeId>(k);
-        const NodeId parent = sub.parent(knode);  // tau>0 => non-root
-        std::int64_t key = 0;
-        switch (options.victim_rule) {
-          case VictimRule::kLatestParent:
-            key = static_cast<std::int64_t>(pos[idx(parent)]);
-            break;
-          case VictimRule::kEarliestParent:
-            key = -static_cast<std::int64_t>(pos[idx(parent)]);
-            break;
-          case VictimRule::kLargestIo:
-            key = fif.io[k];
-            break;
-          case VictimRule::kFirstScheduled:
-            key = -static_cast<std::int64_t>(pos[k]);
-            break;
-        }
-        if (victim == kNoNode || key > victim_key) {
-          victim = knode;
-          victim_key = key;
-        }
-      }
-      if (victim == kNoNode) break;  // peak > M but no I/O was forced: done
-
-      const NodeId victim_in_expanded = old_ids[idx(victim)];
-      const NodeId victim_origin = expanded.origin[idx(victim_in_expanded)];
-      const bool was_top = victim_in_expanded == top_rep[idx(victim_origin)];
-      expanded = expanded.expand_rebuild(victim_in_expanded, fif.io[idx(victim)]);
-      if (was_top) {
-        top_rep[idx(victim_origin)] = static_cast<NodeId>(expanded.tree.size() - 1);
-      }
-      ++node_expansions;
-      ++total_expansions;
-    }
-  }
-
-  const OptMinMemResult final_opt = opt_minmem(expanded.tree);
-  result.final_peak = final_opt.peak;
-  result.schedule = expanded.map_schedule(final_opt.schedule);
-  result.evaluation = simulate_fif(tree, result.schedule, memory);
-  result.expansion_volume = expanded.expansion_volume;
-  result.expansions = total_expansions;
-  return result;
-}
-
 }  // namespace ooctree::core

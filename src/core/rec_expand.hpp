@@ -69,8 +69,9 @@ struct RecExpandResult {
 /// directly on the expanded subtree without extracting a standalone Tree.
 /// Amortized near-linear in (nodes + expansions · subtree size) instead of
 /// the reference path's full O(n) rebuild + OptMinMem rerun per expansion.
-/// Produces bit-identical schedules, I/O volumes and peaks to
-/// rec_expand_reference (enforced by test_expansion_incremental.cpp).
+/// Produces bit-identical schedules, I/O volumes and peaks to the
+/// rebuild-per-iteration oracle in tests/oracles/rec_expand_reference.hpp
+/// (enforced by test_expansion_incremental.cpp).
 [[nodiscard]] RecExpandResult rec_expand(const Tree& tree, Weight memory,
                                          const RecExpandOptions& options);
 
@@ -84,14 +85,6 @@ struct RecExpandResult {
 [[nodiscard]] RecExpandResult rec_expand(const Tree& tree, Weight memory,
                                          const RecExpandOptions& options,
                                          const std::vector<Weight>& orig_peaks);
-
-/// The pre-incremental implementation: per iteration, extracts the subtree
-/// as a standalone Tree, reruns OptMinMem from scratch and rebuilds the
-/// whole expanded tree through Tree::from_parents. Quadratic-plus; retained
-/// as the differential-testing oracle and as the baseline the scaling bench
-/// (bench_recexpand_scaling) measures speedups against.
-[[nodiscard]] RecExpandResult rec_expand_reference(const Tree& tree, Weight memory,
-                                                   const RecExpandOptions& options);
 
 /// FULLRECEXPAND: unbounded per-node loop.
 [[nodiscard]] inline RecExpandResult full_rec_expand(const Tree& tree, Weight memory) {

@@ -10,13 +10,12 @@
 namespace ooctree::iosim {
 
 using core::EvictionIndex;
+using core::EvictionPolicy;
 using core::kNoNode;
 using core::NodeId;
 using core::Schedule;
 using core::Tree;
 using core::Weight;
-
-std::string policy_name(Policy p) { return core::eviction_policy_name(p); }
 
 namespace {
 
@@ -70,10 +69,10 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
   // Evictable data, indexed by policy key (no per-eviction scan). A datum
   // enters the index when its output is produced and leaves when it is
   // consumed or loses its last resident page. In this replay a datum is
-  // read back only at its consumption step, so the LRU and FIFO clocks
-  // coincide: both equal the production step.
+  // read back only at its consumption step, so its LRU clock is the
+  // production step.
   EvictionIndex index(config.policy, tree.size(),
-                      config.policy == Policy::kRandom ? &rng : nullptr);
+                      config.policy == EvictionPolicy::kRandom ? &rng : nullptr);
 
 #if OOCTREE_AUDIT_ENABLED
   // Between steps no transient reservation is held, so conservation is
@@ -123,7 +122,7 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
       ++stats.eviction_events;
       if (v.resident_pages == 0) {
         index.erase(victim);
-      } else if (config.policy == Policy::kLargestFirst) {
+      } else if (config.policy == EvictionPolicy::kLargestFirst) {
         index.insert(victim, v.resident_pages);  // re-key after the partial spill
       }
     }
@@ -197,11 +196,11 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
     if (node != tree.root() && out_pages > 0) {
       const std::int64_t key = [&]() -> std::int64_t {
         switch (config.policy) {
-          case Policy::kBelady: return static_cast<std::int64_t>(state[idx(node)].consumer);
-          case Policy::kLru:
-          case Policy::kFifo: return clock;
-          case Policy::kLargestFirst: return out_pages;
-          case Policy::kRandom: return 0;
+          case EvictionPolicy::kBelady:
+            return static_cast<std::int64_t>(state[idx(node)].consumer);
+          case EvictionPolicy::kLru: return clock;
+          case EvictionPolicy::kLargestFirst: return out_pages;
+          case EvictionPolicy::kRandom: return 0;
         }
         throw std::invalid_argument("run_pager: unknown policy");
       }();

@@ -33,25 +33,18 @@
 //   * cross-validation — with page_size = 1 and the Belady policy, the
 //     pager's write count must equal core::simulate_fif exactly;
 //   * the eviction-policy ablation (bench_ablation_eviction,
-//     bench_paged_parallel), which shows how far LRU/FIFO/random-style
+//     bench_paged_parallel), which shows how far LRU/random-style
 //     policies are from Belady's bound, i.e. the practical content of the
 //     paper's Theorem 1.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "src/core/eviction.hpp"
 #include "src/core/traversal.hpp"
 #include "src/core/tree.hpp"
 
 namespace ooctree::iosim {
-
-/// Replacement policies for choosing which active datum loses pages.
-/// Shared with the parallel simulator via core/eviction.hpp.
-using Policy = core::EvictionPolicy;
-
-[[nodiscard]] std::string policy_name(Policy p);
 
 /// Pages needed to hold `units` memory units (ceil division). The page
 /// geometry shared by run_pager and simulate_parallel_paged.
@@ -70,8 +63,9 @@ using Policy = core::EvictionPolicy;
 struct PagerConfig {
   core::Weight page_size = 1;     ///< memory units per page
   core::Weight memory = 0;        ///< memory bound in units (frames = memory / page_size)
-  Policy policy = Policy::kBelady;
-  std::uint64_t seed = 1;         ///< for Policy::kRandom
+  /// Which active datum loses pages (shared with the parallel engine).
+  core::EvictionPolicy policy = core::EvictionPolicy::kBelady;
+  std::uint64_t seed = 1;         ///< for EvictionPolicy::kRandom
 };
 
 /// Aggregate statistics of one simulated execution.

@@ -40,11 +40,12 @@
 // balance, frames conservation, write-at-most-once, mutation-free failed
 // starts — throwing core::AuditError on drift (src/core/check.hpp;
 // exercised plus fault-injected by tests/test_audit.cpp).
-// The retained scan-based engine (simulate_parallel_reference, O(n) victim
-// scan + sort per start) is the differential oracle:
-// tests/test_parallel_incremental.cpp pins both engines bit-identical, and
-// tests/test_paged_parallel.cpp pins the paged accounting against
-// iosim::run_pager and the sequential FiF counter.
+// A scan-based engine (parallel::oracle::simulate_parallel_reference in
+// tests/oracles/, O(n) victim scan + sort per start, outside the shipped
+// library) is the differential oracle: it ranks tasks through the same
+// prepare_replay() and tests/test_parallel_incremental.cpp pins both
+// engines bit-identical, while tests/test_paged_parallel.cpp pins the paged
+// accounting against iosim::run_pager and the sequential FiF counter.
 //
 // Read costs. The unit engine keeps the paper's convention that reads
 // mirror writes and cost no time. The paged engine optionally folds the
@@ -96,13 +97,6 @@ enum class Priority {
   kSequentialOrder,  ///< follow a reference sequential schedule's order
   kCriticalPath,     ///< longest remaining path to the root first
   kHeaviestSubtree,  ///< largest remaining subtree work first
-  /// Bottom-level critical path minus a penalty for the memory the task
-  /// would pin while running: key(i) = up(i) - reserve_penalty * cp *
-  /// (wbar(i) / M), where up(i) is the kCriticalPath key and cp its
-  /// maximum. Deep-but-heavy tasks no longer monopolize the bound; wide
-  /// cheap subtrees interleave with them instead of serializing behind
-  /// them. With reserve_penalty = 0 this is exactly kCriticalPath.
-  kReservedCriticalPath,
 };
 
 /// Simulation knobs.
@@ -111,22 +105,16 @@ struct ParallelConfig {
   core::Weight memory = 0;
   CostModel cost = CostModel::kWbar;
   Priority priority = Priority::kCriticalPath;
-  /// When the best-priority ready task does not fit in memory even after
-  /// evicting every evictable byte, allow lower-priority ready tasks to
-  /// start instead (backfilling). Without it the pool idles until memory
-  /// frees up.
-  bool backfill = true;
-  /// Bounded backfill look-ahead: with backfill on, at most this many ready
-  /// tasks are examined per free worker slot before the round gives up
-  /// (the fit check is O(1), so a failed look costs nothing). 0 = scan the
-  /// whole ready heap (the historical backfill behaviour); 1 = strict
-  /// priority, equivalent to backfill = false. Starts within one round only
-  /// shrink the memory slack, so a bounded scan never misses a task that a
-  /// later scan of the same round could have started.
+  /// Backfill look-ahead: when the best-priority ready task does not fit in
+  /// memory even after evicting every evictable byte, lower-priority ready
+  /// tasks may start instead. At most this many ready tasks are examined
+  /// per free worker slot before the round gives up (the fit check is
+  /// O(1), so a failed look costs nothing). 0 = scan the whole ready heap;
+  /// 1 = strict priority order (the pool idles until memory frees up).
+  /// Starts within one round only shrink the memory slack, so a bounded
+  /// scan never misses a task that a later scan of the same round could
+  /// have started.
   int backfill_depth = 0;
-  /// Penalty strength for Priority::kReservedCriticalPath (>= 0). 0 makes
-  /// the rank collapse to kCriticalPath bit-identically.
-  double reserve_penalty = 1.0;
   /// Residency-aware starts (paged engine with a DiskModel only): among the
   /// fitting tasks of a slot's backfill window, start the one whose child
   /// pages are most resident (fewest pages to read back), ties broken by
@@ -243,22 +231,31 @@ struct PagedParallelResult {
 /// shared-memory worker pool semantics as simulate_parallel. Anchors
 /// (pinned by tests/test_paged_parallel.cpp):
 ///   * page_size = 1, no disk model  -> bit-identical to simulate_parallel;
-///   * workers = 1, sequential order, no backfill -> page I/O identical to
+///   * workers = 1, sequential order, backfill_depth 1 -> page I/O identical to
 ///     iosim::run_pager on the same schedule (and, at page_size = 1, I/O
 ///     volume and peak identical to core::simulate_fif).
 [[nodiscard]] PagedParallelResult simulate_parallel_paged(const core::Tree& tree,
                                                           const PagedParallelConfig& config,
                                                           const core::Schedule& reference = {});
 
-/// The scan-based engine with identical semantics and results, retained as
-/// the differential-testing oracle and the bench_parallel_scaling baseline.
-/// O(n) per eviction round; use simulate_parallel everywhere else. The
-/// unit-granular API has no disk model, so the pipeline knobs
-/// (write_queue_depth, prefetch_window) are validated identically but
-/// inert in both engines — the differential contract covers every value.
-[[nodiscard]] ParallelResult simulate_parallel_reference(const core::Tree& tree,
-                                                         const ParallelConfig& config,
-                                                         const core::Schedule& reference = {});
+/// Validated inputs of one replay: the reference order, each task's
+/// position in it, and each task's priority key (higher starts first, ties
+/// to the earlier reference position). The engine and the scan-based test
+/// oracle both rank through this one function.
+struct PreparedReplay {
+  core::Schedule ref;
+  std::vector<std::size_t> ref_pos;
+  std::vector<double> priority_key;
+};
+
+/// Validates `config` and derives the PreparedReplay; `reference` as for
+/// simulate_parallel. Throws std::invalid_argument on bad configs or a
+/// non-topological reference.
+[[nodiscard]] PreparedReplay prepare_replay(const core::Tree& tree, const ParallelConfig& config,
+                                            const core::Schedule& reference);
+
+/// Duration of task `node` under the cost model.
+[[nodiscard]] double task_cost(const core::Tree& tree, core::NodeId node, CostModel cost);
 
 /// Critical-path length under the cost model: a makespan lower bound.
 [[nodiscard]] double critical_path(const core::Tree& tree, CostModel cost);

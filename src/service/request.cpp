@@ -46,15 +46,10 @@ std::uint64_t mix_replay(std::uint64_t h, const PlanRequest& request, std::uint6
   h = mix_i64(h, pc.workers);
   h = mix(h, static_cast<std::uint64_t>(pc.cost));
   h = mix(h, static_cast<std::uint64_t>(pc.priority));
-  h = mix(h, pc.backfill ? 1ULL : 0ULL);
   h = mix_i64(h, pc.backfill_depth);
   h = mix(h, pc.residency_aware ? 1ULL : 0ULL);
   h = mix_i64(h, pc.write_queue_depth);
   h = mix_i64(h, pc.prefetch_window);
-  // Like the replay seed below, reserve_penalty only enters the key when it
-  // can influence the result: every other priority ignores it.
-  if (pc.priority == parallel::Priority::kReservedCriticalPath)
-    h = mix_double(h, pc.reserve_penalty);
   h = mix(h, static_cast<std::uint64_t>(pc.evict));
   if (pc.evict == core::EvictionPolicy::kRandom)
     h = mix(h, pc.seed == 0 ? seed : pc.seed);
@@ -90,7 +85,6 @@ std::string priority_name(parallel::Priority p) {
     case parallel::Priority::kSequentialOrder: return "sequential-order";
     case parallel::Priority::kCriticalPath: return "critical-path";
     case parallel::Priority::kHeaviestSubtree: return "heaviest-subtree";
-    case parallel::Priority::kReservedCriticalPath: return "reserved-critical-path";
   }
   throw std::invalid_argument("priority_name: unknown priority");
 }
@@ -100,11 +94,8 @@ parallel::Priority priority_from_name(const std::string& name) {
   if (s == "sequential-order" || s == "sequential") return parallel::Priority::kSequentialOrder;
   if (s == "critical-path" || s == "critical") return parallel::Priority::kCriticalPath;
   if (s == "heaviest-subtree" || s == "heaviest") return parallel::Priority::kHeaviestSubtree;
-  if (s == "reserved-critical-path" || s == "reserved")
-    return parallel::Priority::kReservedCriticalPath;
-  throw std::invalid_argument(
-      "unknown priority '" + name +
-      "' (sequential-order | critical-path | heaviest-subtree | reserved-critical-path)");
+  throw std::invalid_argument("unknown priority '" + name +
+                              "' (sequential-order | critical-path | heaviest-subtree)");
 }
 
 std::string cost_model_name(parallel::CostModel c) {

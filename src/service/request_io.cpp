@@ -1,11 +1,14 @@
 #include "src/service/request_io.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/util/text.hpp"
 
@@ -174,13 +177,38 @@ class JsonScanner {
 // ---------------------------------------------------------------------------
 // Field assignment shared by the JSONL and CSV decoders.
 
+/// Every request field, in the order the unknown-field error lists them.
+constexpr std::array<std::string_view, 26> kFields{
+    "id", "tenant", "source", "nodes", "w_lo", "w_hi", "seed", "parent", "weight", "path",
+    "model", "memory", "memory_lb", "strategy", "workers", "priority", "evict", "cost",
+    "backfill_depth", "residency", "evict_seed", "page_size", "disk_latency", "disk_bandwidth",
+    "write_queue_depth", "prefetch_window"};
+
+bool key_is_known(const std::string& key) {
+  return std::find(kFields.begin(), kFields.end(), key) != kFields.end();
+}
+
 [[noreturn]] void unknown_key(const std::string& key) {
-  throw std::runtime_error(
-      "unknown request field '" + key +
-      "' (id, tenant, source, nodes, w_lo, w_hi, seed, parent, weight, path, model, memory, "
-      "memory_lb, strategy, workers, priority, evict, cost, backfill, backfill_depth, "
-      "reserve_penalty, residency, evict_seed, page_size, disk_latency, disk_bandwidth, "
-      "write_queue_depth, prefetch_window)");
+  std::string fields;
+  for (const std::string_view field : kFields) {
+    if (!fields.empty()) fields += ", ";
+    fields += field;
+  }
+  throw std::runtime_error("unknown request field '" + key + "' (" + fields + ")");
+}
+
+/// The replay knobs a request starts from. Three serving defaults differ
+/// from ParallelConfig's: workers = 0 means "no replay" until the request
+/// asks for one; the priority is sequential-order, so the replay starts
+/// tasks in the order the planner just produced (the response's schedule)
+/// rather than re-ranking them by critical path; and seed = 0 derives
+/// kRandom's stream from the request instead of a fixed constant.
+parallel::ParallelConfig serving_replay_defaults() {
+  parallel::ParallelConfig pc;
+  pc.workers = 0;
+  pc.priority = parallel::Priority::kSequentialOrder;
+  pc.seed = 0;
+  return pc;
 }
 
 /// Tracks which fields were given so source inference and replay gating
@@ -189,18 +217,8 @@ struct DecodeState {
   PlanRequest request;
   bool has_source = false;
   bool has_id = false;
-  int workers = 0;
   bool has_replay_field = false;  ///< any replay knob short of workers itself
-  parallel::Priority priority = parallel::Priority::kSequentialOrder;
-  core::EvictionPolicy evict = core::EvictionPolicy::kBelady;
-  parallel::CostModel cost = parallel::CostModel::kWbar;
-  bool backfill = true;
-  int backfill_depth = 0;
-  double reserve_penalty = 1.0;
-  bool residency = false;
-  int write_queue_depth = 0;
-  int prefetch_window = 0;
-  std::uint64_t evict_seed = 0;
+  parallel::ParallelConfig replay = serving_replay_defaults();
 };
 
 core::MemoryModel model_from_name(const std::string& name) {
@@ -230,13 +248,13 @@ void assign_string(DecodeState& state, const std::string& key, const std::string
   } else if (key == "strategy") {
     state.request.strategy = core::strategy_from_name(value);
   } else if (key == "priority") {
-    state.priority = priority_from_name(value);
+    state.replay.priority = priority_from_name(value);
     state.has_replay_field = true;
   } else if (key == "evict") {
-    state.evict = core::eviction_policy_from_name(value);
+    state.replay.evict = core::eviction_policy_from_name(value);
     state.has_replay_field = true;
   } else if (key == "cost") {
-    state.cost = cost_model_from_name(value);
+    state.replay.cost = cost_model_from_name(value);
     state.has_replay_field = true;
   } else {
     unknown_key(key);
@@ -270,15 +288,11 @@ void assign_number(DecodeState& state, const std::string& key, std::int64_t inte
   } else if (key == "workers") {
     const std::int64_t v = require_int();
     if (v < 0) throw std::runtime_error("'workers' must be >= 0");
-    state.workers = static_cast<int>(v);
+    state.replay.workers = static_cast<int>(v);
   } else if (key == "backfill_depth") {
     const std::int64_t v = require_int();
     if (v < 0) throw std::runtime_error("'backfill_depth' must be >= 0");
-    state.backfill_depth = static_cast<int>(v);
-    state.has_replay_field = true;
-  } else if (key == "reserve_penalty") {
-    if (number < 0) throw std::runtime_error("'reserve_penalty' must be >= 0");
-    state.reserve_penalty = number;
+    state.replay.backfill_depth = static_cast<int>(v);
     state.has_replay_field = true;
   } else if (key == "disk_latency") {
     if (number < 0) throw std::runtime_error("'disk_latency' must be >= 0");
@@ -291,15 +305,15 @@ void assign_number(DecodeState& state, const std::string& key, std::int64_t inte
   } else if (key == "write_queue_depth") {
     const std::int64_t v = require_int();
     if (v < 0) throw std::runtime_error("'write_queue_depth' must be >= 0");
-    state.write_queue_depth = static_cast<int>(v);
+    state.replay.write_queue_depth = static_cast<int>(v);
     state.has_replay_field = true;
   } else if (key == "prefetch_window") {
     const std::int64_t v = require_int();
     if (v < 0) throw std::runtime_error("'prefetch_window' must be >= 0");
-    state.prefetch_window = static_cast<int>(v);
+    state.replay.prefetch_window = static_cast<int>(v);
     state.has_replay_field = true;
   } else if (key == "evict_seed") {
-    state.evict_seed = static_cast<std::uint64_t>(require_int());
+    state.replay.seed = static_cast<std::uint64_t>(require_int());
     state.has_replay_field = true;
   } else if (key == "page_size") {
     const std::int64_t v = require_int();
@@ -336,27 +350,15 @@ PlanRequest finish(DecodeState&& state, std::int64_t fallback_id) {
     throw std::runtime_error("file-based request needs a 'path'");
   if (request.source == TreeSource::kParents && request.parent.size() != request.weight.size())
     throw std::runtime_error("'parent' and 'weight' arrays must have equal length");
-  if (state.workers > 0) {
-    parallel::ParallelConfig pc;
-    pc.workers = state.workers;
-    pc.priority = state.priority;
-    pc.evict = state.evict;
-    pc.cost = state.cost;
-    pc.backfill = state.backfill;
-    pc.backfill_depth = state.backfill_depth;
-    pc.reserve_penalty = state.reserve_penalty;
-    pc.residency_aware = state.residency;
-    pc.write_queue_depth = state.write_queue_depth;
-    pc.prefetch_window = state.prefetch_window;
-    pc.seed = state.evict_seed;  // 0 = derive from the request stream
-    request.parallel = pc;
+  if (state.replay.workers > 0) {
+    request.parallel = state.replay;
   } else if (state.has_replay_field) {
     // Silently dropping the replay block would report sequential-only
     // stats for a request that asked for a parallel evaluation.
     throw std::runtime_error(
-        "replay fields (priority/evict/cost/backfill/backfill_depth/reserve_penalty/"
-        "residency/evict_seed/page_size/disk_latency/disk_bandwidth/write_queue_depth/"
-        "prefetch_window) require 'workers' > 0");
+        "replay fields (priority/evict/cost/backfill_depth/residency/evict_seed/page_size/"
+        "disk_latency/disk_bandwidth/write_queue_depth/prefetch_window) require "
+        "'workers' > 0");
   }
   return std::move(request);
 }
@@ -395,9 +397,8 @@ std::vector<std::string> split_csv_row(const std::string& line) {
 bool csv_key_is_numeric(const std::string& key) {
   return key == "id" || key == "nodes" || key == "w_lo" || key == "w_hi" || key == "seed" ||
          key == "memory" || key == "memory_lb" || key == "workers" || key == "evict_seed" ||
-         key == "page_size" || key == "backfill_depth" || key == "reserve_penalty" ||
-         key == "disk_latency" || key == "disk_bandwidth" || key == "write_queue_depth" ||
-         key == "prefetch_window";
+         key == "page_size" || key == "backfill_depth" || key == "disk_latency" ||
+         key == "disk_bandwidth" || key == "write_queue_depth" || key == "prefetch_window";
 }
 
 }  // namespace
@@ -414,14 +415,13 @@ PlanRequest request_from_json(const std::string& line, std::int64_t fallback_id)
         assign_number(state, key, value.integer, value.number, value.is_integer);
         break;
       case JsonValue::Kind::kBool:
-        if (key == "backfill") {
-          state.backfill = value.boolean;
+        if (key == "residency") {
+          state.replay.residency_aware = value.boolean;
           state.has_replay_field = true;
-        } else if (key == "residency") {
-          state.residency = value.boolean;
-          state.has_replay_field = true;
-        } else {
+        } else if (key_is_known(key)) {
           throw std::runtime_error("field '" + key + "' cannot be a boolean");
+        } else {
+          unknown_key(key);
         }
         break;
       case JsonValue::Kind::kArray:
@@ -465,11 +465,9 @@ std::vector<PlanRequest> read_requests_csv(std::istream& in) {
     if (header.empty()) {
       header = split_csv_row(line);
       for (const std::string& key : header) {
-        // Validate the header eagerly so a typo fails before row 1.
-        if (!csv_key_is_numeric(key) && key != "tenant" && key != "source" && key != "path" &&
-            key != "model" && key != "strategy" && key != "priority" && key != "evict" &&
-            key != "cost" && key != "backfill" && key != "residency")
-          unknown_key(key);
+        // Validate the header eagerly so a typo fails before row 1. The
+        // parent/weight arrays are JSONL-only.
+        if (!key_is_known(key) || key == "parent" || key == "weight") unknown_key(key);
       }
       continue;
     }
@@ -484,11 +482,8 @@ std::vector<PlanRequest> read_requests_csv(std::istream& in) {
         const std::string& key = header[k];
         const std::string& cell = cells[k];
         if (cell.empty()) continue;  // keep the field's default
-        if (key == "backfill") {
-          state.backfill = bool_from_cell(key, cell);
-          state.has_replay_field = true;
-        } else if (key == "residency") {
-          state.residency = bool_from_cell(key, cell);
+        if (key == "residency") {
+          state.replay.residency_aware = bool_from_cell(key, cell);
           state.has_replay_field = true;
         } else if (csv_key_is_numeric(key)) {
           std::size_t consumed = 0;

@@ -11,12 +11,14 @@
 //   model ("max" | "sum"),
 //   memory, memory_lb, strategy ("postorder" | "optminmem" | "recexpand" |
 //   "full"), and the parallel replay block: workers (> 0 enables the
-//   replay), priority, evict, cost, backfill, backfill_depth (bounded
-//   backfill look-ahead, 0 = unlimited), reserve_penalty (for
-//   priority = reserved-critical-path), residency (bool, residency-aware
-//   paged starts), evict_seed, page_size (> 0 switches the replay to the
-//   paged engine, page-I/O stats in the response), disk_latency /
-//   disk_bandwidth (> 0 charges read stalls; requires page_size).
+//   replay), priority (default "sequential-order": replay the planned
+//   schedule), evict ("fifo" is an alias of "lru"), cost, backfill_depth
+//   (backfill look-ahead, 0 = unlimited, 1 = strict priority), residency
+//   (bool, residency-aware paged starts), evict_seed, page_size (> 0
+//   switches the replay to the paged engine, page-I/O stats in the
+//   response), disk_latency / disk_bandwidth (> 0 charges read stalls;
+//   requires page_size), write_queue_depth / prefetch_window (disk
+//   pipeline).
 // When "source" is absent it is inferred: a "path" ending in .mtx means
 // mtx, any other path means tree, a "parent" array means parents,
 // otherwise synth. When "id" is absent the 1-based line ordinal (JSONL) or

@@ -26,9 +26,13 @@ std::size_t round_up_pow2(std::size_t v) {
 
 constexpr char kPlanMagic[8] = {'O', 'O', 'C', 'P', 'L', 'A', 'N', '\0'};
 // Version 2: PlanStats grew the disk-pipeline block (write_stall +
-// prefetch counters). Bumping invalidates spilled v1 plans — they decode
-// as misses and are recomputed, never misread.
-constexpr std::uint32_t kPlanVersion = 2;
+// prefetch counters). Version 3: the replay key lost the `backfill` and
+// `reserve_penalty` mixes (and FIFO folded into LRU), so every replay
+// request now hashes to a different params key; v2 files would preload
+// under keys no request can produce and only take cache slots. Bumping
+// invalidates older spilled plans — they decode as misses and are
+// recomputed, never misread.
+constexpr std::uint32_t kPlanVersion = 3;
 
 void put_bytes(std::ostream& os, const void* p, std::size_t n) {
   os.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));

@@ -25,6 +25,7 @@
 #include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/parallel_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -39,25 +40,12 @@ using parallel::ParallelResult;
 using parallel::Priority;
 using parallel::simulate_parallel;
 using parallel::simulate_parallel_paged;
-using parallel::simulate_parallel_reference;
-
-void expect_base_identical(const ParallelResult& a, const ParallelResult& b,
-                           const std::string& label) {
-  ASSERT_EQ(a.feasible, b.feasible) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.io_volume, b.io_volume) << label;
-  EXPECT_EQ(a.io, b.io) << label;
-  EXPECT_EQ(a.peak_resident, b.peak_resident) << label;
-  EXPECT_EQ(a.start_order, b.start_order) << label;
-  EXPECT_EQ(a.start_time, b.start_time) << label;
-  EXPECT_EQ(a.finish_time, b.finish_time) << label;
-  EXPECT_EQ(a.busy_time, b.busy_time) << label;
-  EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
-}
+using parallel::oracle::simulate_parallel_reference;
+using test::expect_same_replay;
 
 void expect_paged_identical(const PagedParallelResult& a, const PagedParallelResult& b,
                             const std::string& label) {
-  expect_base_identical(a.base, b.base, label);
+  expect_same_replay(a.base, b.base, label);
   EXPECT_EQ(a.frames, b.frames) << label;
   EXPECT_EQ(a.pages_written, b.pages_written) << label;
   EXPECT_EQ(a.pages_read, b.pages_read) << label;
@@ -154,9 +142,9 @@ TEST(DiskPipeline, KnobsInertWithoutDiskAcrossEngines) {
         knobs.prefetch_window = window;
         const std::string label = "rep=" + std::to_string(rep) + " d=" + std::to_string(depth) +
                                   " pf=" + std::to_string(window);
-        expect_base_identical(simulate_parallel(t, knobs), simulate_parallel(t, base), label);
-        expect_base_identical(simulate_parallel_reference(t, knobs), simulate_parallel(t, knobs),
-                              label + " (scan oracle)");
+        expect_same_replay(simulate_parallel(t, knobs), simulate_parallel(t, base), label);
+        expect_same_replay(simulate_parallel_reference(t, knobs), simulate_parallel(t, knobs),
+                           label + " (scan oracle)");
         const PagedParallelResult paged = simulate_parallel_paged(t, paged_config(knobs, 2));
         expect_paged_identical(paged, simulate_parallel_paged(t, paged_config(base, 2)), label);
         EXPECT_EQ(paged.write_queue_peak, 0) << label;

@@ -1,8 +1,8 @@
 // Differential tests for the incremental expansion engine: the
 // TreeBuilder-maintained tree, the in-place/batch ExpandedTree operations
-// and the incremental rec_expand must be *bit-identical* to the retained
-// reference implementations (Tree::from_parents rebuilds, expand_rebuild,
-// rec_expand_reference) on every observable quantity — schedules, I/O
+// and the incremental rec_expand must be *bit-identical* to the reference
+// implementations (Tree::from_parents rebuilds and the oracles of
+// tests/oracles/rec_expand_reference.hpp) on every observable quantity — schedules, I/O
 // volumes, expansion volumes, peaks — under both memory models.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "src/treegen/shapes.hpp"
 #include "src/treegen/weights.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/rec_expand_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -129,7 +130,7 @@ TEST(ExpansionIncremental, ExpandMatchesRebuildReference) {
           rng.uniform_int(0, static_cast<std::int64_t>(fast.tree.size()) - 1));
       const Weight tau = rng.uniform_int(0, fast.tree.weight(i));
       fast = fast.expand(i, tau);
-      slow = slow.expand_rebuild(i, tau);
+      slow = core::oracle::expand_rebuild(slow, i, tau);
       expect_same_expanded(fast, slow);
     }
   }
@@ -150,7 +151,8 @@ TEST(ExpansionIncremental, BatchExpandMatchesSequentialExpansion) {
     batch.expand_all(io);
     ExpandedTree sequential = ExpandedTree::identity(t);
     for (std::size_t k = 0; k < t.size(); ++k)
-      if (io[k] > 0) sequential = sequential.expand_rebuild(static_cast<NodeId>(k), io[k]);
+      if (io[k] > 0)
+        sequential = core::oracle::expand_rebuild(sequential, static_cast<NodeId>(k), io[k]);
     expect_same_expanded(batch, sequential);
   }
 }
@@ -222,7 +224,7 @@ TEST(RecExpandIncremental, MatchesReferenceOnRandomTreesBothModels) {
         RecExpandOptions opts;
         if (!full) opts.max_expansions_per_node = 2;
         const RecExpandResult inc = core::rec_expand(t, m, opts);
-        const RecExpandResult ref = core::rec_expand_reference(t, m, opts);
+        const RecExpandResult ref = core::oracle::rec_expand_reference(t, m, opts);
         expect_same_rec_expand(inc, ref);
       }
     }
@@ -247,7 +249,7 @@ TEST(RecExpandIncremental, MatchesReferenceOnStructuredShapes) {
     const Weight peak = core::opt_minmem(t).peak;
     for (const Weight m : {lb, (lb + peak) / 2}) {
       const RecExpandResult inc = core::full_rec_expand(t, m);
-      const RecExpandResult ref = core::rec_expand_reference(t, m, RecExpandOptions{});
+      const RecExpandResult ref = core::oracle::rec_expand_reference(t, m, RecExpandOptions{});
       expect_same_rec_expand(inc, ref);
     }
   }
@@ -267,7 +269,7 @@ TEST(RecExpandIncremental, MatchesReferenceUnderAllVictimRules) {
       RecExpandOptions opts;
       opts.victim_rule = rule;
       expect_same_rec_expand(core::rec_expand(t, m, opts),
-                             core::rec_expand_reference(t, m, opts));
+                             core::oracle::rec_expand_reference(t, m, opts));
     }
   }
 }
@@ -281,7 +283,7 @@ TEST(RecExpandIncremental, MatchesReferenceUnderExpansionCaps) {
     opts.max_expansions_per_node = 1 + static_cast<std::size_t>(rep % 3);
     opts.global_expansion_cap = 2 + static_cast<std::size_t>(rep % 5);
     expect_same_rec_expand(core::rec_expand(t, m, opts),
-                           core::rec_expand_reference(t, m, opts));
+                           core::oracle::rec_expand_reference(t, m, opts));
   }
 }
 
@@ -297,11 +299,11 @@ TEST(RecExpandIncremental, MatchesReferenceOnSynthInstances) {
     const Weight m11 = lb + (peak - lb) / 10;  // close to LB: many expansions
     for (const Weight m : {lb, m11, peak - 1}) {
       expect_same_rec_expand(core::full_rec_expand(t, m),
-                             core::rec_expand_reference(t, m, RecExpandOptions{}));
+                             core::oracle::rec_expand_reference(t, m, RecExpandOptions{}));
       RecExpandOptions two;
       two.max_expansions_per_node = 2;
       expect_same_rec_expand(core::rec_expand(t, m, two),
-                             core::rec_expand_reference(t, m, two));
+                             core::oracle::rec_expand_reference(t, m, two));
     }
   }
 }

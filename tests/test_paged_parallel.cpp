@@ -39,20 +39,7 @@ using parallel::ParallelResult;
 using parallel::Priority;
 using parallel::simulate_parallel;
 using parallel::simulate_parallel_paged;
-
-void expect_base_identical(const ParallelResult& a, const ParallelResult& b,
-                           const std::string& label) {
-  ASSERT_EQ(a.feasible, b.feasible) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.io_volume, b.io_volume) << label;
-  EXPECT_EQ(a.io, b.io) << label;
-  EXPECT_EQ(a.peak_resident, b.peak_resident) << label;
-  EXPECT_EQ(a.start_order, b.start_order) << label;
-  EXPECT_EQ(a.start_time, b.start_time) << label;
-  EXPECT_EQ(a.finish_time, b.finish_time) << label;
-  EXPECT_EQ(a.busy_time, b.busy_time) << label;
-  EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
-}
+using test::expect_same_replay;
 
 PagedParallelConfig paged_config(const ParallelConfig& base, Weight page_size) {
   PagedParallelConfig c;
@@ -66,7 +53,7 @@ ParallelConfig sequential_config(Weight memory) {
   c.workers = 1;
   c.memory = memory;
   c.priority = Priority::kSequentialOrder;
-  c.backfill = false;
+  c.backfill_depth = 1;
   return c;
 }
 
@@ -95,10 +82,10 @@ TEST(PagedParallel, UnitPageMatchesUnitEngineAcrossSweep) {
             c.seed = 31u + static_cast<std::uint64_t>(rep);
             const PagedParallelResult paged = simulate_parallel_paged(t, paged_config(c, 1));
             const ParallelResult unit = simulate_parallel(t, c);
-            expect_base_identical(paged.base, unit,
-                                  "rep=" + std::to_string(rep) + " w=" + std::to_string(workers) +
-                                      " M=" + std::to_string(m) +
-                                      " policy=" + core::eviction_policy_name(policy));
+            expect_same_replay(paged.base, unit,
+                               "rep=" + std::to_string(rep) + " w=" + std::to_string(workers) +
+                                   " M=" + std::to_string(m) +
+                                   " policy=" + core::eviction_policy_name(policy));
             // Page accounting degenerates exactly: every evicted page is
             // dirty in this control flow, and pages are units.
             EXPECT_EQ(paged.pages_written, unit.io_volume);
@@ -112,13 +99,12 @@ TEST(PagedParallel, UnitPageMatchesUnitEngineAcrossSweep) {
   }
 }
 
-// Anchor 2: one worker following the reference order with no backfill is
+// Anchor 2: one worker following the reference order with the strict scan is
 // the sequential paging model — page I/O must match iosim::run_pager on
 // the same schedule for every page size and deterministic policy.
 TEST(PagedParallel, SingleWorkerSequentialMatchesPager) {
   util::Rng rng(25013);
   const std::vector<EvictionPolicy> policies{EvictionPolicy::kBelady, EvictionPolicy::kLru,
-                                             EvictionPolicy::kFifo,
                                              EvictionPolicy::kLargestFirst};
   for (int rep = 0; rep < 10; ++rep) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(28, 12, rng)

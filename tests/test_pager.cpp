@@ -9,14 +9,14 @@
 namespace ooctree {
 namespace {
 
+using core::EvictionPolicy;
 using core::Tree;
 using core::Weight;
 using iosim::PagerConfig;
 using iosim::PagerStats;
-using iosim::Policy;
 using iosim::run_pager;
 
-PagerConfig config(Weight memory, Policy p, Weight page = 1) {
+PagerConfig config(Weight memory, EvictionPolicy p, Weight page = 1) {
   PagerConfig c;
   c.memory = memory;
   c.page_size = page;
@@ -35,7 +35,7 @@ TEST(Pager, BeladyUnitPagesMatchesAnalyticFif) {
     const Weight lb = t.min_feasible_memory();
     for (const Weight m : {lb, lb + 3, lb + 10}) {
       const auto fif = core::simulate_fif(t, schedule, m);
-      const PagerStats pager = run_pager(t, schedule, config(m, Policy::kBelady));
+      const PagerStats pager = run_pager(t, schedule, config(m, EvictionPolicy::kBelady));
       ASSERT_EQ(pager.feasible, fif.feasible);
       if (fif.feasible) {
         EXPECT_EQ(pager.pages_written, fif.io_volume) << t.to_string() << " M=" << m;
@@ -49,11 +49,11 @@ TEST(Pager, NoIoWithAmpleMemory) {
   util::Rng rng(907);
   const Tree t = test::small_random_tree(20, 10, rng);
   const auto schedule = t.postorder();
-  for (const Policy p : {Policy::kBelady, Policy::kLru, Policy::kFifo, Policy::kRandom,
-                         Policy::kLargestFirst}) {
+  for (const EvictionPolicy p : {EvictionPolicy::kBelady, EvictionPolicy::kLru,
+                                 EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst}) {
     const PagerStats s = run_pager(t, schedule, config(100000, p));
     EXPECT_TRUE(s.feasible);
-    EXPECT_EQ(s.pages_written, 0) << iosim::policy_name(p);
+    EXPECT_EQ(s.pages_written, 0) << core::eviction_policy_name(p);
   }
 }
 
@@ -65,12 +65,13 @@ TEST(Pager, BeladyIsNeverBeatenByOtherPolicies) {
     const Tree t = test::small_random_tree(16, 10, rng);
     const auto schedule = core::opt_minmem(t).schedule;
     const Weight m = t.min_feasible_memory() + 4;
-    const auto belady = run_pager(t, schedule, config(m, Policy::kBelady));
+    const auto belady = run_pager(t, schedule, config(m, EvictionPolicy::kBelady));
     ASSERT_TRUE(belady.feasible);
-    for (const Policy p : {Policy::kLru, Policy::kFifo, Policy::kRandom, Policy::kLargestFirst}) {
+    for (const EvictionPolicy p :
+         {EvictionPolicy::kLru, EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst}) {
       const auto other = run_pager(t, schedule, config(m, p));
-      ASSERT_TRUE(other.feasible) << iosim::policy_name(p);
-      EXPECT_GE(other.pages_written, belady.pages_written) << iosim::policy_name(p);
+      ASSERT_TRUE(other.feasible) << core::eviction_policy_name(p);
+      EXPECT_GE(other.pages_written, belady.pages_written) << core::eviction_policy_name(p);
     }
   }
 }
@@ -81,7 +82,7 @@ TEST(Pager, PageGranularityRoundsUp) {
   const Tree t = core::make_tree({{core::kNoNode, 1}, {0, 6}, {0, 2}, {2, 8}});
   // Schedule 1, 3, 2, 0. Units: at node 3, active {1:6} + wbar(3)=8.
   // In pages of 4: frames = M/4; datum 1 = 2 pages, leaf 8 = 2 pages.
-  const PagerConfig c = config(14, Policy::kBelady, 4);  // 3 frames
+  const PagerConfig c = config(14, EvictionPolicy::kBelady, 4);  // 3 frames
   const PagerStats s = run_pager(t, {1, 3, 2, 0}, c);
   ASSERT_TRUE(s.feasible);
   EXPECT_GT(s.pages_written, 0);
@@ -91,14 +92,15 @@ TEST(Pager, PageGranularityRoundsUp) {
 
 TEST(Pager, InfeasibleWhenWorkingSetExceedsFrames) {
   const Tree t = core::make_tree({{core::kNoNode, 1}, {0, 5}, {0, 6}});
-  const PagerStats s = run_pager(t, {1, 2, 0}, config(10, Policy::kBelady));
+  const PagerStats s = run_pager(t, {1, 2, 0}, config(10, EvictionPolicy::kBelady));
   EXPECT_FALSE(s.feasible);
 }
 
 TEST(Pager, RejectsBadSchedule) {
   const Tree t = core::make_tree({{core::kNoNode, 1}, {0, 5}});
-  EXPECT_THROW((void)run_pager(t, {0, 1}, config(10, Policy::kBelady)), std::invalid_argument);
-  PagerConfig c = config(10, Policy::kBelady);
+  EXPECT_THROW((void)run_pager(t, {0, 1}, config(10, EvictionPolicy::kBelady)),
+               std::invalid_argument);
+  PagerConfig c = config(10, EvictionPolicy::kBelady);
   c.page_size = 0;
   EXPECT_THROW((void)run_pager(t, {1, 0}, c), std::invalid_argument);
 }
@@ -107,7 +109,7 @@ TEST(Pager, RandomPolicyIsDeterministicPerSeed) {
   util::Rng rng(919);
   const Tree t = test::small_random_tree(16, 10, rng);
   const auto schedule = t.postorder();
-  PagerConfig c = config(t.min_feasible_memory() + 2, Policy::kRandom);
+  PagerConfig c = config(t.min_feasible_memory() + 2, EvictionPolicy::kRandom);
   c.seed = 77;
   const auto a = run_pager(t, schedule, c);
   const auto b = run_pager(t, schedule, c);
@@ -122,13 +124,15 @@ TEST(Pager, TransientReservationPinsPeak) {
   // the paged parallel engine (tests/test_paged_parallel.cpp), so both
   // engines stay pinned to the same accounting.
   const auto fx = test::transient_reservation_fixture();
-  const PagerStats s = run_pager(fx.tree, fx.schedule, config(fx.feasible_memory, Policy::kBelady));
+  const PagerStats s =
+      run_pager(fx.tree, fx.schedule, config(fx.feasible_memory, EvictionPolicy::kBelady));
   ASSERT_TRUE(s.feasible);
   EXPECT_EQ(s.peak_frames_used, fx.expected_peak_frames);
   EXPECT_EQ(s.pages_written, 0);
   EXPECT_EQ(s.pages_read, 0);
-  EXPECT_FALSE(
-      run_pager(fx.tree, fx.schedule, config(fx.infeasible_memory, Policy::kBelady)).feasible);
+  EXPECT_FALSE(run_pager(fx.tree, fx.schedule,
+                         config(fx.infeasible_memory, EvictionPolicy::kBelady))
+                   .feasible);
 }
 
 TEST(Pager, ThrashedDatumWritesEachPageOnce) {
@@ -137,7 +141,8 @@ TEST(Pager, ThrashedDatumWritesEachPageOnce) {
   // construction, shared with the paged parallel engine).
   const auto fx = test::thrash_fixture();
   ASSERT_EQ(fx.tree.min_feasible_memory(), fx.memory);
-  const PagerStats s = run_pager(fx.tree, fx.schedule, config(fx.memory, Policy::kBelady));
+  const PagerStats s =
+      run_pager(fx.tree, fx.schedule, config(fx.memory, EvictionPolicy::kBelady));
   ASSERT_TRUE(s.feasible);
   EXPECT_EQ(s.eviction_events, fx.expected_eviction_events);
   EXPECT_EQ(s.pages_written, fx.expected_pages_written)
@@ -155,7 +160,7 @@ TEST(Pager, PeakFramesBounded) {
   util::Rng rng(929);
   const Tree t = test::small_random_tree(16, 10, rng);
   const Weight m = t.min_feasible_memory() + 5;
-  const auto s = run_pager(t, t.postorder(), config(m, Policy::kLru));
+  const auto s = run_pager(t, t.postorder(), config(m, EvictionPolicy::kLru));
   ASSERT_TRUE(s.feasible);
   EXPECT_LE(s.peak_frames_used, m);  // page_size 1: frames == units
 }

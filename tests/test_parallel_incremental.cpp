@@ -1,8 +1,8 @@
 // Differential oracle for the indexed parallel engine (PR 3).
 //
 // simulate_parallel (EvictionIndex + heap ready queue + transactional
-// starts) must be observationally identical to the retained scan-based
-// simulate_parallel_reference, and at one worker following the reference
+// starts) must be observationally identical to the scan-based oracle
+// (tests/oracles/parallel_reference.hpp), and at one worker following the reference
 // order both must collapse to the sequential FiF simulator. Mirrors the
 // test_expansion_incremental suite from PR 2.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "src/core/minmem_optimal.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/parallel_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -23,28 +24,15 @@ using parallel::ParallelConfig;
 using parallel::ParallelResult;
 using parallel::Priority;
 using parallel::simulate_parallel;
-using parallel::simulate_parallel_reference;
-
-void expect_identical(const ParallelResult& a, const ParallelResult& b,
-                      const std::string& label) {
-  ASSERT_EQ(a.feasible, b.feasible) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.io_volume, b.io_volume) << label;
-  EXPECT_EQ(a.io, b.io) << label;
-  EXPECT_EQ(a.peak_resident, b.peak_resident) << label;
-  EXPECT_EQ(a.start_order, b.start_order) << label;
-  EXPECT_EQ(a.start_time, b.start_time) << label;
-  EXPECT_EQ(a.finish_time, b.finish_time) << label;
-  EXPECT_EQ(a.busy_time, b.busy_time) << label;
-  EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
-}
+using parallel::oracle::simulate_parallel_reference;
+using test::expect_same_replay;
 
 std::string label(std::size_t rep, int workers, int priority, Weight m) {
   return "rep=" + std::to_string(rep) + " workers=" + std::to_string(workers) +
          " priority=" + std::to_string(priority) + " M=" + std::to_string(m);
 }
 
-// workers = 1 + the reference order + no backfill is exactly the paper's
+// workers = 1 + the reference order + the strict scan is exactly the paper's
 // sequential model: both engines must reproduce the FiF simulator's I/O
 // volume and peak, under both transient-memory models.
 TEST(ParallelIncremental, SingleWorkerSequentialOrderCollapsesToFif) {
@@ -63,7 +51,7 @@ TEST(ParallelIncremental, SingleWorkerSequentialOrderCollapsesToFif) {
         c.workers = 1;
         c.memory = m;
         c.priority = Priority::kSequentialOrder;
-        c.backfill = false;
+        c.backfill_depth = 1;
         for (const bool incremental : {false, true}) {
           const ParallelResult r = incremental ? simulate_parallel(t, c, ref)
                                                : simulate_parallel_reference(t, c, ref);
@@ -82,7 +70,9 @@ TEST(ParallelIncremental, SingleWorkerSequentialOrderCollapsesToFif) {
 }
 
 // The heart of the PR: both engines bit-identical over the full
-// workers x priority sweep on the SYNTH sampler, at several memory bounds.
+// workers x priority x backfill-depth sweep on the SYNTH sampler, at
+// several memory bounds (depth 1 is strict priority order: the head starts
+// or the pool waits).
 TEST(ParallelIncremental, NewEngineMatchesReferenceAcrossSweep) {
   util::Rng rng(24007);
   const std::vector<Priority> priorities{Priority::kSequentialOrder, Priority::kCriticalPath,
@@ -95,20 +85,25 @@ TEST(ParallelIncremental, NewEngineMatchesReferenceAcrossSweep) {
     for (const Weight m : {lb, (lb + peak) / 2, peak + 5}) {
       for (const int workers : {1, 2, 4, 8}) {
         for (std::size_t p = 0; p < priorities.size(); ++p) {
-          ParallelConfig c;
-          c.workers = workers;
-          c.memory = m;
-          c.priority = priorities[p];
-          expect_identical(simulate_parallel(t, c), simulate_parallel_reference(t, c),
-                           label(static_cast<std::size_t>(rep), workers,
-                                 static_cast<int>(p), m));
+          for (const int depth : {0, 1}) {
+            ParallelConfig c;
+            c.workers = workers;
+            c.memory = m;
+            c.priority = priorities[p];
+            c.backfill_depth = depth;
+            expect_same_replay(simulate_parallel(t, c), simulate_parallel_reference(t, c),
+                               label(static_cast<std::size_t>(rep), workers,
+                                     static_cast<int>(p), m) +
+                                   " depth=" + std::to_string(depth));
+          }
         }
       }
     }
   }
 }
 
-// Backfill off: strict priority order must also agree.
+// Strict priority order (depth 1, no backfill) on a second sampler and a
+// tight memory bound must also agree.
 TEST(ParallelIncremental, NoBackfillMatchesReference) {
   util::Rng rng(24019);
   for (int rep = 0; rep < 10; ++rep) {
@@ -117,9 +112,11 @@ TEST(ParallelIncremental, NoBackfillMatchesReference) {
     ParallelConfig c;
     c.workers = 3;
     c.memory = lb + 6;
-    c.backfill = false;
-    expect_identical(simulate_parallel(t, c), simulate_parallel_reference(t, c),
-                     "no-backfill rep=" + std::to_string(rep));
+    c.backfill_depth = 1;
+    const ParallelResult r = simulate_parallel(t, c);
+    expect_same_replay(r, simulate_parallel_reference(t, c),
+                       "no-backfill rep=" + std::to_string(rep));
+    EXPECT_EQ(r.backfill_scans, 0) << "depth 1 never looks past the head";
   }
 }
 
@@ -127,7 +124,7 @@ TEST(ParallelIncremental, NoBackfillMatchesReference) {
 // conventions in both engines.
 TEST(ParallelIncremental, DeterministicPoliciesMatchReference) {
   util::Rng rng(24023);
-  const std::vector<EvictionPolicy> policies{EvictionPolicy::kLru, EvictionPolicy::kFifo,
+  const std::vector<EvictionPolicy> policies{EvictionPolicy::kLru,
                                              EvictionPolicy::kLargestFirst};
   for (int rep = 0; rep < 8; ++rep) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(40, 12, rng)
@@ -139,10 +136,10 @@ TEST(ParallelIncremental, DeterministicPoliciesMatchReference) {
         c.workers = workers;
         c.memory = lb + 4;
         c.evict = policy;
-        expect_identical(simulate_parallel(t, c), simulate_parallel_reference(t, c),
-                         core::eviction_policy_name(policy) +
-                             " workers=" + std::to_string(workers) +
-                             " rep=" + std::to_string(rep));
+        expect_same_replay(simulate_parallel(t, c), simulate_parallel_reference(t, c),
+                           core::eviction_policy_name(policy) +
+                               " workers=" + std::to_string(workers) +
+                               " rep=" + std::to_string(rep));
       }
     }
   }
@@ -160,7 +157,7 @@ TEST(ParallelIncremental, RandomPolicyDeterministicPerSeed) {
   c.seed = 99;
   const auto a = simulate_parallel(t, c);
   const auto b = simulate_parallel(t, c);
-  expect_identical(a, b, "same seed");
+  expect_same_replay(a, b, "same seed");
   ASSERT_TRUE(a.feasible);
   EXPECT_LE(a.peak_resident, c.memory);
 }
@@ -190,7 +187,7 @@ TEST(ParallelIncremental, FailedStartsChargeNoIo) {
   c.priority = Priority::kCriticalPath;
   const ParallelResult r = simulate_parallel(t, c);
   const ParallelResult ref = simulate_parallel_reference(t, c);
-  expect_identical(r, ref, "failed-start regression");
+  expect_same_replay(r, ref, "failed-start regression");
   ASSERT_TRUE(r.feasible);
   EXPECT_GT(r.failed_starts, 0) << "B must fail to fit at least once";
   // Each output can spill at most once (it is read back only when its

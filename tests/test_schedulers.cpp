@@ -1,18 +1,13 @@
-// Differential suite for the memory-aware schedulers: the
-// kReservedCriticalPath priority, the bounded backfill look-ahead
-// (ParallelConfig::backfill_depth) and residency-aware paged starts.
+// Differential suite for the memory-aware schedulers: the bounded backfill
+// look-ahead (ParallelConfig::backfill_depth) and residency-aware paged
+// starts.
 //
 // Pins, in order:
-//   * reserve_penalty = 0 makes kReservedCriticalPath reproduce
-//     kCriticalPath bit-identically (the key subtracts an exact 0.0);
-//   * backfill_depth = 1 is exactly the pre-PR strict scan (backfill =
-//     false), including the failed-start count and zero scan/hit stats —
-//     the new priority and knobs leave the pinned engine behavior intact;
-//   * the heap engine equals the scan-based reference oracle across the
-//     new priority x penalties x workers x depths (both implement the
-//     depth-bounded scan and its stats);
+//   * the heap engine equals the scan-based reference oracle across
+//     priorities x workers x depths (both implement the depth-bounded scan
+//     and its stats);
 //   * workers = 1 + sequential order + strict scan still matches the
-//     sequential FiF accounting whatever the new knobs default to;
+//     sequential FiF accounting whatever the other knobs default to;
 //   * residency-aware starts keep every paged invariant (write-at-most-
 //     once caps, page-multiple accounting, frames bound, determinism) —
 //     under OOCTREE_AUDIT builds the in-engine reservation-balance and
@@ -28,6 +23,7 @@
 #include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/parallel_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -43,102 +39,34 @@ using parallel::ParallelResult;
 using parallel::Priority;
 using parallel::simulate_parallel;
 using parallel::simulate_parallel_paged;
-using parallel::simulate_parallel_reference;
+using parallel::oracle::simulate_parallel_reference;
+using test::expect_same_replay;
 
-void expect_identical(const ParallelResult& a, const ParallelResult& b,
-                      const std::string& label) {
-  ASSERT_EQ(a.feasible, b.feasible) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.io_volume, b.io_volume) << label;
-  EXPECT_EQ(a.io, b.io) << label;
-  EXPECT_EQ(a.peak_resident, b.peak_resident) << label;
-  EXPECT_EQ(a.start_order, b.start_order) << label;
-  EXPECT_EQ(a.start_time, b.start_time) << label;
-  EXPECT_EQ(a.finish_time, b.finish_time) << label;
-  EXPECT_EQ(a.busy_time, b.busy_time) << label;
-  EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
-  EXPECT_EQ(a.backfill_scans, b.backfill_scans) << label;
-  EXPECT_EQ(a.backfill_hits, b.backfill_hits) << label;
-}
-
-// Penalty 0 subtracts an exact 0.0 from every priority key, so the ranking
-// — and therefore the whole simulation — must equal kCriticalPath's.
-TEST(Schedulers, ReservedPenaltyZeroIsCriticalPath) {
-  util::Rng rng(26001);
-  for (int rep = 0; rep < 8; ++rep) {
-    const Tree t = (rep % 2 == 0) ? test::small_random_tree(40, 14, rng)
-                                  : test::small_random_wide_tree(40, 14, rng);
-    const Weight lb = t.min_feasible_memory();
-    for (const Weight m : {lb, lb + 9}) {
-      for (const int workers : {1, 2, 4}) {
-        ParallelConfig cp;
-        cp.workers = workers;
-        cp.memory = m;
-        cp.priority = Priority::kCriticalPath;
-        ParallelConfig reserved = cp;
-        reserved.priority = Priority::kReservedCriticalPath;
-        reserved.reserve_penalty = 0.0;
-        expect_identical(simulate_parallel(t, reserved), simulate_parallel(t, cp),
-                         "rep=" + std::to_string(rep) + " w=" + std::to_string(workers));
-      }
-    }
-  }
-}
-
-// backfill_depth = 1 must be exactly the strict scan backfill = false has
-// always given: same results AND same failed-start/scan/hit stats, for the
-// old and the new priorities alike.
-TEST(Schedulers, DepthOneIsStrictScan) {
-  util::Rng rng(26007);
-  const std::vector<Priority> priorities{
-      Priority::kSequentialOrder, Priority::kCriticalPath, Priority::kHeaviestSubtree,
-      Priority::kReservedCriticalPath};
-  for (int rep = 0; rep < 6; ++rep) {
-    const Tree t = (rep % 2 == 0) ? test::small_random_tree(36, 12, rng)
-                                  : test::small_random_wide_tree(36, 12, rng);
-    const Weight lb = t.min_feasible_memory();
-    for (const Priority priority : priorities) {
-      for (const int workers : {2, 4}) {
-        ParallelConfig strict;
-        strict.workers = workers;
-        strict.memory = lb + 3;
-        strict.priority = priority;
-        strict.backfill = false;
-        ParallelConfig depth1 = strict;
-        depth1.backfill = true;
-        depth1.backfill_depth = 1;
-        const ParallelResult a = simulate_parallel(t, depth1);
-        const ParallelResult b = simulate_parallel(t, strict);
-        expect_identical(a, b, "rep=" + std::to_string(rep));
-        EXPECT_EQ(a.backfill_scans, 0) << "depth 1 examines nothing beyond the head";
-        EXPECT_EQ(a.backfill_hits, 0);
-      }
-    }
-  }
-}
+const std::vector<Priority> kPriorities{Priority::kSequentialOrder, Priority::kCriticalPath,
+                                        Priority::kHeaviestSubtree};
 
 // The heap engine and the scan-based reference oracle implement the
 // depth-bounded scan independently; they must agree on results and stats
-// across the new priority's whole knob space.
+// across every priority, worker count and depth.
 TEST(Schedulers, HeapEngineMatchesReferenceAcrossKnobs) {
   util::Rng rng(26013);
   for (int rep = 0; rep < 6; ++rep) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(32, 12, rng)
                                   : test::small_random_wide_tree(32, 12, rng);
     const Weight lb = t.min_feasible_memory();
-    for (const double penalty : {0.5, 2.0}) {
+    for (const Priority priority : kPriorities) {
       for (const int workers : {1, 2, 4}) {
         for (const int depth : {1, 2, 3, 0}) {
           ParallelConfig c;
           c.workers = workers;
           c.memory = lb + 5;
-          c.priority = Priority::kReservedCriticalPath;
-          c.reserve_penalty = penalty;
+          c.priority = priority;
           c.backfill_depth = depth;
-          expect_identical(simulate_parallel(t, c), simulate_parallel_reference(t, c),
-                           "rep=" + std::to_string(rep) + " pen=" + std::to_string(penalty) +
-                               " w=" + std::to_string(workers) +
-                               " d=" + std::to_string(depth));
+          expect_same_replay(simulate_parallel(t, c), simulate_parallel_reference(t, c),
+                             "rep=" + std::to_string(rep) +
+                                 " priority=" + std::to_string(static_cast<int>(priority)) +
+                                 " w=" + std::to_string(workers) +
+                                 " d=" + std::to_string(depth));
         }
       }
     }
@@ -147,7 +75,7 @@ TEST(Schedulers, HeapEngineMatchesReferenceAcrossKnobs) {
 
 // One worker on the reference order with the strict scan is the sequential
 // execution: io and peak must match the FiF simulator regardless of the
-// new knobs' defaults.
+// other knobs' defaults.
 TEST(Schedulers, SingleWorkerSequentialStillMatchesFif) {
   util::Rng rng(26019);
   for (int rep = 0; rep < 8; ++rep) {
@@ -160,7 +88,7 @@ TEST(Schedulers, SingleWorkerSequentialStillMatchesFif) {
       c.workers = 1;
       c.memory = m;
       c.priority = Priority::kSequentialOrder;
-      c.backfill = false;
+      c.backfill_depth = 1;
       const ParallelResult r = simulate_parallel(t, c, schedule);
       const core::FifResult fif = core::simulate_fif(t, schedule, m);
       ASSERT_TRUE(r.feasible) << "rep=" + std::to_string(rep);
@@ -170,7 +98,8 @@ TEST(Schedulers, SingleWorkerSequentialStillMatchesFif) {
   }
 }
 
-// Residency-aware paged starts across page sizes, depths and memory slack:
+// Residency-aware paged starts across priorities, page sizes, depths and
+// memory slack:
 // every paged invariant holds (the in-engine OOCTREE_AUDIT checks run on
 // audit builds), page totals stay within the write-at-most-once caps, and
 // the simulation is deterministic.
@@ -189,36 +118,38 @@ TEST(Schedulers, ResidencyAwareKeepsPagedInvariants) {
       for (const Weight slack : {Weight{0}, Weight{3}}) {
         for (const int depth : {0, 2}) {
           for (const int workers : {2, 4}) {
-            ParallelConfig base;
-            base.workers = workers;
-            base.memory = (min_frames + slack) * page;
-            base.priority = Priority::kReservedCriticalPath;
-            base.backfill_depth = depth;
-            base.residency_aware = true;
-            PagedParallelConfig c;
-            c.base = base;
-            c.page_size = page;
-            c.disk = disk;
-            const PagedParallelResult r = simulate_parallel_paged(t, c);
-            const std::string label = "rep=" + std::to_string(rep) +
-                                      " page=" + std::to_string(page) +
-                                      " slack=" + std::to_string(slack) +
-                                      " d=" + std::to_string(depth) +
-                                      " w=" + std::to_string(workers);
-            ASSERT_TRUE(r.base.feasible) << label;
-            // Write-at-most-once: each page spills to disk at most once.
-            EXPECT_LE(r.pages_written, total_pages) << label;
-            // Only written pages can be read back or dropped clean.
-            EXPECT_LE(r.pages_read, r.pages_written) << label;
-            EXPECT_LE(r.pages_dropped_clean, total_pages) << label;
-            EXPECT_LE(r.peak_frames_used, r.frames) << label;
-            EXPECT_GE(r.read_stall, 0.0) << label;
-            // Determinism: the same config replays bit-identically.
-            const PagedParallelResult again = simulate_parallel_paged(t, c);
-            expect_identical(again.base, r.base, label);
-            EXPECT_EQ(again.pages_written, r.pages_written) << label;
-            EXPECT_EQ(again.pages_read, r.pages_read) << label;
-            EXPECT_EQ(again.read_stall, r.read_stall) << label;
+            for (const Priority priority : kPriorities) {
+              ParallelConfig base;
+              base.workers = workers;
+              base.memory = (min_frames + slack) * page;
+              base.priority = priority;
+              base.backfill_depth = depth;
+              base.residency_aware = true;
+              PagedParallelConfig c;
+              c.base = base;
+              c.page_size = page;
+              c.disk = disk;
+              const PagedParallelResult r = simulate_parallel_paged(t, c);
+              const std::string label =
+                  "rep=" + std::to_string(rep) + " page=" + std::to_string(page) +
+                  " slack=" + std::to_string(slack) + " d=" + std::to_string(depth) +
+                  " w=" + std::to_string(workers) +
+                  " priority=" + std::to_string(static_cast<int>(priority));
+              ASSERT_TRUE(r.base.feasible) << label;
+              // Write-at-most-once: each page spills to disk at most once.
+              EXPECT_LE(r.pages_written, total_pages) << label;
+              // Only written pages can be read back or dropped clean.
+              EXPECT_LE(r.pages_read, r.pages_written) << label;
+              EXPECT_LE(r.pages_dropped_clean, total_pages) << label;
+              EXPECT_LE(r.peak_frames_used, r.frames) << label;
+              EXPECT_GE(r.read_stall, 0.0) << label;
+              // Determinism: the same config replays bit-identically.
+              const PagedParallelResult again = simulate_parallel_paged(t, c);
+              expect_same_replay(again.base, r.base, label);
+              EXPECT_EQ(again.pages_written, r.pages_written) << label;
+              EXPECT_EQ(again.pages_read, r.pages_read) << label;
+              EXPECT_EQ(again.read_stall, r.read_stall) << label;
+            }
           }
         }
       }
@@ -246,7 +177,7 @@ TEST(Schedulers, ResidencyInertWithoutDisk) {
       aware.base.residency_aware = true;
       const PagedParallelResult a = simulate_parallel_paged(t, aware);
       const PagedParallelResult b = simulate_parallel_paged(t, plain);
-      expect_identical(a.base, b.base, "rep=" + std::to_string(rep));
+      expect_same_replay(a.base, b.base, "rep=" + std::to_string(rep));
       EXPECT_EQ(a.pages_written, b.pages_written);
       EXPECT_EQ(a.pages_read, b.pages_read);
     }
@@ -261,7 +192,7 @@ TEST(Schedulers, BackfillStatsAreConsistent) {
   for (int rep = 0; rep < 6; ++rep) {
     const Tree t = test::small_random_wide_tree(40, 14, rng);
     const Weight lb = t.min_feasible_memory();
-    for (const int depth : {0, 2, 8}) {
+    for (const int depth : {0, 1, 2, 8}) {
       ParallelConfig c;
       c.workers = 4;
       c.memory = lb + 4;
@@ -303,8 +234,7 @@ TEST(Schedulers, BackfillStatsAreConsistent) {
   EXPECT_EQ(strict.backfill_hits, 0);
 }
 
-// Config validation: negative depth and negative (or NaN) penalties are
-// rejected up front.
+// Config validation: a negative depth is rejected up front by both engines.
 TEST(Schedulers, RejectsInvalidKnobs) {
   const Tree t = core::make_tree({{core::kNoNode, 2}, {0, 1}});
   ParallelConfig c;
@@ -312,10 +242,7 @@ TEST(Schedulers, RejectsInvalidKnobs) {
   c.memory = 4;
   c.backfill_depth = -1;
   EXPECT_THROW((void)simulate_parallel(t, c), std::invalid_argument);
-  c.backfill_depth = 0;
-  c.priority = Priority::kReservedCriticalPath;
-  c.reserve_penalty = -0.5;
-  EXPECT_THROW((void)simulate_parallel(t, c), std::invalid_argument);
+  EXPECT_THROW((void)simulate_parallel_reference(t, c), std::invalid_argument);
 }
 
 }  // namespace

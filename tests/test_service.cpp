@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -420,7 +421,7 @@ TEST(RequestIo, ParsesJsonlFields) {
   const auto request = service::request_from_json(
       R"({"id": 7, "nodes": 120, "w_lo": 2, "w_hi": 9, "seed": 5, "memory_lb": 1.5, )"
       R"("strategy": "optminmem", "workers": 4, "priority": "critical-path", "evict": "lru", )"
-      R"("backfill": false, "page_size": 16})");
+      R"("backfill_depth": 1, "page_size": 16})");
   EXPECT_EQ(request.id, 7);
   EXPECT_EQ(request.source, TreeSource::kSynth);
   EXPECT_EQ(request.nodes, 120u);
@@ -433,7 +434,7 @@ TEST(RequestIo, ParsesJsonlFields) {
   EXPECT_EQ(request.parallel->workers, 4);
   EXPECT_EQ(request.parallel->priority, parallel::Priority::kCriticalPath);
   EXPECT_EQ(request.parallel->evict, core::EvictionPolicy::kLru);
-  EXPECT_FALSE(request.parallel->backfill);
+  EXPECT_EQ(request.parallel->backfill_depth, 1);
   EXPECT_EQ(request.page_size, 16);
 }
 
@@ -469,8 +470,51 @@ TEST(RequestIo, RejectsMalformedInput) {
   std::istringstream bad("{\"nodes\": 10}\n{\"oops\n");
   EXPECT_THROW((void)service::read_requests_jsonl(bad), std::runtime_error);
   // CSV booleans must be 1/0/true/false, not a silent false.
-  std::istringstream bad_bool("nodes,workers,backfill\n8,2,ture\n");
+  std::istringstream bad_bool("nodes,workers,residency\n8,2,ture\n");
   EXPECT_THROW((void)service::read_requests_csv(bad_bool), std::runtime_error);
+}
+
+// The removed replay keys are unknown fields, in JSONL (whatever the value
+// type) and in a CSV header; a known field of the wrong type is not.
+TEST(RequestIo, RejectsRemovedReplayKeysAsUnknown) {
+  const auto error_of = [](const std::function<void()>& decode) -> std::string {
+    try {
+      decode();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::string unknown = "unknown request field";
+  for (const char* line : {R"({"workers": 2, "backfill": false})",
+                           R"({"workers": 2, "backfill": 1})",
+                           R"({"workers": 2, "reserve_penalty": 0.5})"})
+    EXPECT_NE(error_of([&] { (void)service::request_from_json(line); }).find(unknown),
+              std::string::npos)
+        << line;
+  for (const char* csv : {"nodes,workers,backfill\n8,2,true\n", "workers,reserve_penalty\n2,1\n"}) {
+    std::istringstream in(csv);
+    EXPECT_NE(error_of([&] { (void)service::read_requests_csv(in); }).find(unknown),
+              std::string::npos)
+        << csv;
+  }
+  EXPECT_EQ(error_of([] { (void)service::request_from_json(R"({"nodes": true})"); })
+                .find(unknown),
+            std::string::npos);
+}
+
+// FIFO keyed on the same clock as LRU in every engine: "fifo" stays a
+// spelling of "lru", so old request streams decode to the same request and
+// share its cache key.
+TEST(RequestIo, FifoIsAnAliasOfLru) {
+  const PlanRequest fifo =
+      service::request_from_json(R"({"nodes": 30, "seed": 3, "workers": 2, "evict": "fifo"})");
+  const PlanRequest lru =
+      service::request_from_json(R"({"nodes": 30, "seed": 3, "workers": 2, "evict": "lru"})");
+  ASSERT_TRUE(fifo.parallel.has_value());
+  EXPECT_EQ(fifo.parallel->evict, core::EvictionPolicy::kLru);
+  EXPECT_EQ(service::params_fingerprint(fifo, 100, 3), service::params_fingerprint(lru, 100, 3));
+  EXPECT_EQ(service::request_fingerprint(fifo, 3), service::request_fingerprint(lru, 3));
 }
 
 TEST(RequestIo, ParsesDiskPipelineKnobs) {
@@ -639,6 +683,27 @@ TEST(ResultCache, NonPersistableEntriesStayRamOnly) {
   cache.put({302, 1}, fake_stats(302), /*persistable=*/false);  // evicts 301
   EXPECT_EQ(cache.counters().spilled, 0u);
   EXPECT_EQ(cache.get({301, 1}), nullptr);  // gone for good
+}
+
+// A .plan file of an older format version (v2 keyed replays with the
+// removed backfill and reserve_penalty mixes) is neither preloaded nor
+// restored: it could only hold a cache slot under a key no request makes.
+TEST(ResultCache, OlderPlanVersionIsNotServed) {
+  const std::string dir = fresh_persist_dir("plan_cache_old_version");
+  const service::CacheKey key{99, 4};
+  { service::ResultCache(16, 2, dir).put(key, fake_stats(99)); }  // flushed on destroy
+  int patched = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ++patched;
+    std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);  // the version field follows the 8-byte magic
+    const std::uint32_t v2 = 2;
+    f.write(reinterpret_cast<const char*>(&v2), sizeof v2);
+  }
+  ASSERT_EQ(patched, 1);
+  service::ResultCache reborn(16, 2, dir);
+  EXPECT_EQ(reborn.counters().entries, 0u);
+  EXPECT_EQ(reborn.get(key), nullptr);
 }
 
 TEST(ResultCache, FlushOnDestroyThenPreload) {

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/fif_simulator.hpp"
 #include "src/core/traversal.hpp"
 #include "src/core/tree.hpp"
+#include "src/parallel/parallel_sim.hpp"
 #include "src/treegen/catalan.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/treegen/shapes.hpp"
@@ -94,6 +96,24 @@ inline ThrashFixture thrash_fixture() {
           3,
           2,
           5};
+}
+
+/// Asserts two parallel replays agree on every reported quantity — the
+/// bit-identity contract of the differential suites.
+inline void expect_same_replay(const parallel::ParallelResult& a,
+                               const parallel::ParallelResult& b, const std::string& label) {
+  ASSERT_EQ(a.feasible, b.feasible) << label;
+  EXPECT_EQ(a.makespan, b.makespan) << label;
+  EXPECT_EQ(a.io_volume, b.io_volume) << label;
+  EXPECT_EQ(a.io, b.io) << label;
+  EXPECT_EQ(a.peak_resident, b.peak_resident) << label;
+  EXPECT_EQ(a.start_order, b.start_order) << label;
+  EXPECT_EQ(a.start_time, b.start_time) << label;
+  EXPECT_EQ(a.finish_time, b.finish_time) << label;
+  EXPECT_EQ(a.busy_time, b.busy_time) << label;
+  EXPECT_EQ(a.failed_starts, b.failed_starts) << label;
+  EXPECT_EQ(a.backfill_scans, b.backfill_scans) << label;
+  EXPECT_EQ(a.backfill_hits, b.backfill_hits) << label;
 }
 
 }  // namespace ooctree::test
