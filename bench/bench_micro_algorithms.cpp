@@ -11,6 +11,7 @@
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/minmem_postorder.hpp"
 #include "src/core/rec_expand.hpp"
+#include "src/parallel/parallel_sim.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/etree.hpp"
 #include "src/sparse/generators.hpp"
@@ -168,6 +169,36 @@ void BM_AssemblyTree(benchmark::State& state) {
     benchmark::DoNotOptimize(sparse::assembly_tree_ordered(g, perm).size());
 }
 BENCHMARK(BM_AssemblyTree)->Arg(64)->Arg(128);
+
+// The replay-paged shape of the end-to-end benchmark: a SYNTH tree
+// replayed along its OptMinMem schedule by 4 workers at M = 1.5 x LB with
+// 32-unit pages and a {0.5, 64} disk, sequential-order priority and Belady
+// eviction. range(0) is n, range(1) backfill_depth, range(2)
+// prefetch_window.
+void BM_SimulateParallelPaged(benchmark::State& state) {
+  const Tree t = synth(static_cast<std::size_t>(state.range(0)), 1);
+  const core::Schedule reference = core::opt_minmem(t).schedule;
+  parallel::PagedParallelConfig config;
+  config.base.workers = 4;
+  config.base.memory = t.min_feasible_memory() * 3 / 2;
+  config.base.priority = parallel::Priority::kSequentialOrder;
+  config.base.backfill_depth = static_cast<int>(state.range(1));
+  config.base.prefetch_window = static_cast<int>(state.range(2));
+  config.page_size = 32;
+  config.disk = iosim::DiskModel{0.5, 64.0};
+  std::int64_t failed_starts = 0;
+  for (auto _ : state) {
+    const auto r = parallel::simulate_parallel_paged(t, config, reference);
+    failed_starts = r.base.failed_starts;
+    benchmark::DoNotOptimize(r.base.makespan);
+  }
+  state.counters["failed_starts"] = static_cast<double>(failed_starts);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimulateParallelPaged)
+    ->ArgNames({"n", "depth", "window"})
+    ->ArgsProduct({{3000, 10000}, {0, 8}, {0, 8}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

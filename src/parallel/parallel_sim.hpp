@@ -32,20 +32,33 @@
 //     whose disk copy exists is free, so a datum's written volume never
 //     exceeds its page-rounded size (the invariant iosim::run_pager
 //     guarantees, now shared by the parallel engine);
-//   * indexed eviction — victims come from core::EvictionIndex in
-//     O(log n), never from a scan of all n nodes; overall the engine is
-//     O((n + evictions) log n) per simulation.
+//   * indexed eviction and ready set — victims come from
+//     core::EvictionIndex and ready tasks from a segment tree over their
+//     fixed priority ranks, each in O(log n), never from a scan of all n
+//     nodes. A worker slot's scan jumps to the first ready task that fits
+//     and counts the ready tasks it passed as failed starts, so failures
+//     cost nothing per task and the strict and backfill scans run in
+//     O((n + evictions) log n) per simulation. On top of that the
+//     residency-aware scan compares its window's fitting candidates,
+//     O(window) per slot (backfill_depth tasks, or every fitting ready task
+//     at depth 0), and the prefetch prediction replays the start rule
+//     against the in-flight completions, O(prefetch_window · (depth +
+//     workers)) per round.
 // Under OOCTREE_AUDIT builds (the dev preset) the engine re-checks these
 // invariants at runtime after every completion event — reservation
 // balance, frames conservation, write-at-most-once, mutation-free failed
 // starts — throwing core::AuditError on drift (src/core/check.hpp;
 // exercised plus fault-injected by tests/test_audit.cpp).
-// A scan-based engine (parallel::oracle::simulate_parallel_reference in
-// tests/oracles/, O(n) victim scan + sort per start, outside the shipped
-// library) is the differential oracle: it ranks tasks through the same
-// prepare_replay() and tests/test_parallel_incremental.cpp pins both
-// engines bit-identical, while tests/test_paged_parallel.cpp pins the paged
-// accounting against iosim::run_pager and the sequential FiF counter.
+// Two engines in tests/oracles/, outside the shipped library, are the
+// differential oracles; both rank tasks through the same prepare_replay().
+// The scan-based unit engine (parallel::oracle::simulate_parallel_reference,
+// O(n) victim scan + sort per start) is pinned bit-identical by
+// tests/test_parallel_incremental.cpp. The heap-scan paged engine
+// (parallel::oracle::simulate_parallel_paged_reference, a binary-heap ready
+// queue that pops every failed start) covers the disk model, the residency
+// scan and the pipeline: tests/test_paged_parallel.cpp checks every
+// PagedParallelResult field against it, and pins the paged accounting
+// against iosim::run_pager and the sequential FiF counter.
 //
 // Read costs. The unit engine keeps the paper's convention that reads
 // mirror writes and cost no time. The paged engine optionally folds the
@@ -65,7 +78,7 @@
 // will start next. The prediction replays the engine's own start rule —
 // priority order, first-fit within the backfill window, parents activated
 // by in-flight completions — so prefetch targets what will actually run,
-// not the raw head of the ready heap. All transfers serialize through one
+// not the raw head of the ready set. All transfers serialize through one
 // device timeline with demand and prefetch reads taking priority over the
 // unstarted write backlog (a started write is never preempted), so
 // overlap hides transfer time under compute but never exceeds DiskModel
@@ -108,9 +121,12 @@ struct ParallelConfig {
   /// Backfill look-ahead: when the best-priority ready task does not fit in
   /// memory even after evicting every evictable byte, lower-priority ready
   /// tasks may start instead. At most this many ready tasks are examined
-  /// per free worker slot before the round gives up (the fit check is
-  /// O(1), so a failed look costs nothing). 0 = scan the whole ready heap;
-  /// 1 = strict priority order (the pool idles until memory frees up).
+  /// per free worker slot before the round gives up. A failed look costs
+  /// nothing: one O(log n) walk of the ready set skips every ready task
+  /// that does not fit, and the scan charges the ones it skipped to
+  /// failed_starts and backfill_scans by count, capped at this depth.
+  /// 0 = scan every ready task; 1 = strict priority order (the pool idles
+  /// until memory frees up).
   /// Starts within one round only shrink the memory slack, so a bounded
   /// scan never misses a task that a later scan of the same round could
   /// have started.
@@ -240,8 +256,8 @@ struct PagedParallelResult {
 
 /// Validated inputs of one replay: the reference order, each task's
 /// position in it, and each task's priority key (higher starts first, ties
-/// to the earlier reference position). The engine and the scan-based test
-/// oracle both rank through this one function.
+/// to the earlier reference position). The engine and both test oracles
+/// rank through this one function.
 struct PreparedReplay {
   core::Schedule ref;
   std::vector<std::size_t> ref_pos;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -268,6 +269,16 @@ void assign_number(DecodeState& state, const std::string& key, std::int64_t inte
       throw std::runtime_error("field '" + key + "' must be an integer");
     return integer;
   };
+  // The replay knobs are ints in ParallelConfig: a value past INT_MAX is an
+  // error, not a silently truncated knob.
+  const auto require_knob = [&]() {
+    const std::int64_t v = require_int();
+    if (v < 0) throw std::runtime_error("'" + key + "' must be >= 0");
+    if (v > std::numeric_limits<int>::max())
+      throw std::runtime_error("'" + key + "' must be <= " +
+                               std::to_string(std::numeric_limits<int>::max()));
+    return static_cast<int>(v);
+  };
   if (key == "id") {
     state.request.id = require_int();
     state.has_id = true;
@@ -286,13 +297,9 @@ void assign_number(DecodeState& state, const std::string& key, std::int64_t inte
   } else if (key == "memory_lb") {
     state.request.memory_lb = number;
   } else if (key == "workers") {
-    const std::int64_t v = require_int();
-    if (v < 0) throw std::runtime_error("'workers' must be >= 0");
-    state.replay.workers = static_cast<int>(v);
+    state.replay.workers = require_knob();
   } else if (key == "backfill_depth") {
-    const std::int64_t v = require_int();
-    if (v < 0) throw std::runtime_error("'backfill_depth' must be >= 0");
-    state.replay.backfill_depth = static_cast<int>(v);
+    state.replay.backfill_depth = require_knob();
     state.has_replay_field = true;
   } else if (key == "disk_latency") {
     if (number < 0) throw std::runtime_error("'disk_latency' must be >= 0");
@@ -303,14 +310,10 @@ void assign_number(DecodeState& state, const std::string& key, std::int64_t inte
     state.request.disk_bandwidth = number;
     state.has_replay_field = true;
   } else if (key == "write_queue_depth") {
-    const std::int64_t v = require_int();
-    if (v < 0) throw std::runtime_error("'write_queue_depth' must be >= 0");
-    state.replay.write_queue_depth = static_cast<int>(v);
+    state.replay.write_queue_depth = require_knob();
     state.has_replay_field = true;
   } else if (key == "prefetch_window") {
-    const std::int64_t v = require_int();
-    if (v < 0) throw std::runtime_error("'prefetch_window' must be >= 0");
-    state.replay.prefetch_window = static_cast<int>(v);
+    state.replay.prefetch_window = require_knob();
     state.has_replay_field = true;
   } else if (key == "evict_seed") {
     state.replay.seed = static_cast<std::uint64_t>(require_int());

@@ -41,27 +41,8 @@ using parallel::Priority;
 using parallel::simulate_parallel;
 using parallel::simulate_parallel_paged;
 using parallel::oracle::simulate_parallel_reference;
+using test::expect_same_paged_replay;
 using test::expect_same_replay;
-
-void expect_paged_identical(const PagedParallelResult& a, const PagedParallelResult& b,
-                            const std::string& label) {
-  expect_same_replay(a.base, b.base, label);
-  EXPECT_EQ(a.frames, b.frames) << label;
-  EXPECT_EQ(a.pages_written, b.pages_written) << label;
-  EXPECT_EQ(a.pages_read, b.pages_read) << label;
-  EXPECT_EQ(a.pages_dropped_clean, b.pages_dropped_clean) << label;
-  EXPECT_EQ(a.eviction_events, b.eviction_events) << label;
-  EXPECT_EQ(a.peak_frames_used, b.peak_frames_used) << label;
-  EXPECT_EQ(a.read_transfers, b.read_transfers) << label;
-  EXPECT_EQ(a.read_stall, b.read_stall) << label;
-  EXPECT_EQ(a.write_stall, b.write_stall) << label;
-  EXPECT_EQ(a.write_queue_peak, b.write_queue_peak) << label;
-  EXPECT_EQ(a.prefetch_issued, b.prefetch_issued) << label;
-  EXPECT_EQ(a.prefetch_useful, b.prefetch_useful) << label;
-  EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted) << label;
-  EXPECT_EQ(a.disk_read_time, b.disk_read_time) << label;
-  EXPECT_EQ(a.disk_write_time, b.disk_write_time) << label;
-}
 
 PagedParallelConfig paged_config(const ParallelConfig& base, Weight page_size) {
   PagedParallelConfig c;
@@ -110,7 +91,7 @@ TEST(DiskPipeline, ZeroKnobsBitIdenticalToSynchronousEngine) {
                                     " w=" + std::to_string(workers) +
                                     " slack=" + std::to_string(slack) +
                                     " policy=" + core::eviction_policy_name(policy);
-          expect_paged_identical(a, b, label);
+          expect_same_paged_replay(a, b, label);
           // Synchronous stall contract: reads charge the worker their full
           // device time, writes are free and nothing is ever queued.
           EXPECT_EQ(a.read_stall, a.disk_read_time) << label;
@@ -146,7 +127,7 @@ TEST(DiskPipeline, KnobsInertWithoutDiskAcrossEngines) {
         expect_same_replay(simulate_parallel_reference(t, knobs), simulate_parallel(t, knobs),
                            label + " (scan oracle)");
         const PagedParallelResult paged = simulate_parallel_paged(t, paged_config(knobs, 2));
-        expect_paged_identical(paged, simulate_parallel_paged(t, paged_config(base, 2)), label);
+        expect_same_paged_replay(paged, simulate_parallel_paged(t, paged_config(base, 2)), label);
         EXPECT_EQ(paged.write_queue_peak, 0) << label;
         EXPECT_EQ(paged.prefetch_issued, 0) << label;
       }

@@ -13,14 +13,22 @@
 // write-at-most-once thrashing) from test_support.hpp so the pager and the
 // paged parallel engine stay pinned to one accounting, and pins the
 // read-cost model: spilled pages delay dependent task starts by exactly
-// DiskModel::transfer_time.
+// DiskModel::transfer_time. Finally it checks the engine against the
+// heap-scan oracle (tests/oracles/paged_reference.hpp) field for field on
+// the paths no other reference covers: the disk model, the residency-aware
+// scan, the write queue and the prefetch prediction.
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <tuple>
 
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
+#include "src/treegen/random_binary.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/paged_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -316,6 +324,140 @@ TEST(PagedParallel, RejectsBadConfig) {
   bad_workers.base.workers = 0;
   EXPECT_THROW((void)simulate_parallel_paged(t, bad_workers), std::invalid_argument);
 }
+
+// Knobs as large as INT_MAX must not overflow the engine's arithmetic (the
+// prefetch scan adds the backfill window to the prefetch window). A window
+// at least as large as the tree never binds, so INT_MAX must give exactly
+// the result of a window of n; likewise a backfill window of INT_MAX scans
+// every ready task, exactly as backfill_depth = 0 does when nothing else
+// reads the depth.
+TEST(PagedParallel, IntMaxKnobsMatchTheirUnboundedEquivalents) {
+  util::Rng rng(25081);
+  const Tree t = treegen::synth_instance(400, 1, 100, rng);
+  const Weight page = 4;
+  ParallelConfig base;
+  base.workers = 4;
+  base.memory = iosim::min_feasible_frames(t, page) * page * 3 / 2;
+  base.backfill_depth = 8;
+  base.write_queue_depth = 8;
+  PagedParallelConfig huge = paged_config(base, page);
+  huge.disk = iosim::DiskModel{0.5, 64.0};
+  huge.base.prefetch_window = INT_MAX;
+  PagedParallelConfig whole = huge;
+  whole.base.prefetch_window = static_cast<int>(t.size());
+  const PagedParallelResult a = simulate_parallel_paged(t, huge);
+  ASSERT_TRUE(a.base.feasible);
+  EXPECT_GT(a.prefetch_issued, 0);
+  test::expect_same_paged_replay(a, simulate_parallel_paged(t, whole), "prefetch_window");
+
+  PagedParallelConfig deep = paged_config(base, page);
+  deep.disk = iosim::DiskModel{0.5, 64.0};
+  deep.base.backfill_depth = INT_MAX;
+  PagedParallelConfig unbounded = deep;
+  unbounded.base.backfill_depth = 0;
+  for (const bool residency : {false, true}) {
+    deep.base.residency_aware = unbounded.base.residency_aware = residency;
+    test::expect_same_paged_replay(simulate_parallel_paged(t, deep),
+                                   simulate_parallel_paged(t, unbounded),
+                                   residency ? "backfill_depth, residency" : "backfill_depth");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Engine vs heap-scan oracle. Each instance fixes a tree shape and an
+// eviction policy and runs all 36 combinations of backfill_depth {0, 1, 8}
+// x residency x prefetch_window {0, 4, 8} x write_queue_depth {0, 8} under
+// a disk model. The 24 machines, workers {1, 2, 4, 8} x page_size {1, 32}
+// x M in {1.1, 1.5, 2.0} x LB (LB = the paged lower bound
+// min_feasible_frames x page), rotate through the combinations with a
+// per-policy offset, as do the tree sizes 300, 900 and 2000 and the three
+// priorities.
+
+enum class Shape { kSynth, kCaterpillar, kSpider };
+
+const char* shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::kSynth: return "synth";
+    case Shape::kCaterpillar: return "caterpillar";
+    case Shape::kSpider: return "spider";
+  }
+  return "?";
+}
+
+Tree oracle_tree(Shape shape, std::size_t n, util::Rng& rng) {
+  switch (shape) {
+    case Shape::kSynth:
+      return treegen::synth_instance(n, 1, 100, rng);
+    case Shape::kCaterpillar:
+      return treegen::with_uniform_weights(treegen::caterpillar_tree(n / 4, 3, 1), 1, 100, rng);
+    case Shape::kSpider:
+      return treegen::with_uniform_weights(treegen::spider_tree(6, n / 6, 1), 1, 100, rng);
+  }
+  throw std::logic_error("unknown shape");
+}
+
+class PagedOracle : public ::testing::TestWithParam<std::tuple<Shape, EvictionPolicy>> {};
+
+TEST_P(PagedOracle, EngineMatchesHeapScanReference) {
+  const auto [shape, policy] = GetParam();
+  const int policy_offset = static_cast<int>(policy) * 7;
+  util::Rng rng(25091 + static_cast<std::uint64_t>(shape));
+  const std::vector<Tree> trees{oracle_tree(shape, 300, rng), oracle_tree(shape, 900, rng),
+                                oracle_tree(shape, 2000, rng)};
+  const Priority priorities[] = {Priority::kSequentialOrder, Priority::kCriticalPath,
+                                 Priority::kHeaviestSubtree};
+  const int workers[] = {1, 2, 4, 8};
+  const Weight pages[] = {1, 32};
+  const double factors[] = {1.1, 1.5, 2.0};
+  int combo = 0;
+  for (const int depth : {0, 1, 8}) {
+    for (const bool residency : {false, true}) {
+      for (const int window : {0, 4, 8}) {
+        for (const int queue : {0, 8}) {
+          const int machine = (combo + policy_offset) % 24;
+          const Tree& t = trees[static_cast<std::size_t>(combo % 3)];
+          const Weight page = pages[machine % 2];
+          const double factor = factors[(machine / 2) % 3];
+          const Weight lb = iosim::min_feasible_frames(t, page) * page;
+          PagedParallelConfig c;
+          c.base.workers = workers[machine / 6];
+          c.base.memory = static_cast<Weight>(factor * static_cast<double>(lb));
+          c.base.priority = priorities[(combo / 3) % 3];
+          c.base.evict = policy;
+          c.base.seed = 17u + static_cast<std::uint64_t>(combo);
+          c.base.backfill_depth = depth;
+          c.base.residency_aware = residency;
+          c.base.prefetch_window = window;
+          c.base.write_queue_depth = queue;
+          c.page_size = page;
+          c.disk = iosim::DiskModel{0.5, 64.0};
+          const std::string label =
+              std::string(shape_name(shape)) + " n=" + std::to_string(t.size()) +
+              " depth=" + std::to_string(depth) + " residency=" + std::to_string(residency) +
+              " window=" + std::to_string(window) + " queue=" + std::to_string(queue) +
+              " workers=" + std::to_string(c.base.workers) + " page=" + std::to_string(page) +
+              " M=" + std::to_string(factor) + "LB";
+          const PagedParallelResult engine = simulate_parallel_paged(t, c);
+          ASSERT_TRUE(engine.base.feasible) << label;
+          test::expect_same_paged_replay(
+              engine, parallel::oracle::simulate_parallel_paged_reference(t, c), label);
+          ++combo;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndPolicies, PagedOracle,
+    ::testing::Combine(::testing::Values(Shape::kSynth, Shape::kCaterpillar, Shape::kSpider),
+                       ::testing::Values(EvictionPolicy::kBelady, EvictionPolicy::kLru,
+                                         EvictionPolicy::kLargestFirst,
+                                         EvictionPolicy::kRandom)),
+    [](const auto& info) {
+      return std::string(shape_name(std::get<0>(info.param))) + "_" +
+             core::eviction_policy_name(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace ooctree

@@ -177,9 +177,7 @@ TEST(Schedulers, ResidencyInertWithoutDisk) {
       aware.base.residency_aware = true;
       const PagedParallelResult a = simulate_parallel_paged(t, aware);
       const PagedParallelResult b = simulate_parallel_paged(t, plain);
-      expect_same_replay(a.base, b.base, "rep=" + std::to_string(rep));
-      EXPECT_EQ(a.pages_written, b.pages_written);
-      EXPECT_EQ(a.pages_read, b.pages_read);
+      test::expect_same_paged_replay(a, b, "rep=" + std::to_string(rep));
     }
   }
 }

@@ -544,6 +544,31 @@ TEST(RequestIo, RejectsBadDiskPipelineKnobs) {
                std::runtime_error);
 }
 
+// The int-typed replay knobs reject values past INT_MAX in both formats
+// instead of truncating them (2^32 + 8 used to decode as 8), and accept
+// INT_MAX itself.
+TEST(RequestIo, RejectsReplayKnobsAboveIntMax) {
+  // One request per key; every key but workers needs workers set.
+  const auto jsonl = [](const std::string& key, const std::string& value) {
+    return R"({"nodes": 8, "workers": )" +
+           (key == "workers" ? value : "2, \"" + key + "\": " + value) + "}";
+  };
+  const auto csv = [](const std::string& key, const std::string& value) {
+    return key == "workers" ? "nodes,workers\n8," + value + "\n"
+                            : "nodes,workers," + key + "\n8,2," + value + "\n";
+  };
+  for (const char* key : {"workers", "backfill_depth", "write_queue_depth", "prefetch_window"}) {
+    for (const char* value : {"2147483648", "4294967304"}) {
+      EXPECT_THROW((void)service::request_from_json(jsonl(key, value)), std::runtime_error)
+          << key << "=" << value;
+      std::istringstream in(csv(key, value));
+      EXPECT_THROW((void)service::read_requests_csv(in), std::runtime_error)
+          << key << "=" << value << " (CSV)";
+    }
+    EXPECT_NO_THROW((void)service::request_from_json(jsonl(key, "2147483647"))) << key;
+  }
+}
+
 TEST(RequestIo, ReadsDiskPipelineKnobsFromCsv) {
   std::istringstream in(
       "nodes,workers,page_size,disk_bandwidth,write_queue_depth,prefetch_window\n"

@@ -116,4 +116,27 @@ inline void expect_same_replay(const parallel::ParallelResult& a,
   EXPECT_EQ(a.backfill_hits, b.backfill_hits) << label;
 }
 
+/// Asserts two paged replays agree on every PagedParallelResult field: the
+/// base replay plus the page, stall and pipeline counters.
+inline void expect_same_paged_replay(const parallel::PagedParallelResult& a,
+                                     const parallel::PagedParallelResult& b,
+                                     const std::string& label) {
+  expect_same_replay(a.base, b.base, label);
+  EXPECT_EQ(a.frames, b.frames) << label;
+  EXPECT_EQ(a.pages_written, b.pages_written) << label;
+  EXPECT_EQ(a.pages_read, b.pages_read) << label;
+  EXPECT_EQ(a.pages_dropped_clean, b.pages_dropped_clean) << label;
+  EXPECT_EQ(a.eviction_events, b.eviction_events) << label;
+  EXPECT_EQ(a.peak_frames_used, b.peak_frames_used) << label;
+  EXPECT_EQ(a.read_transfers, b.read_transfers) << label;
+  EXPECT_EQ(a.read_stall, b.read_stall) << label;
+  EXPECT_EQ(a.write_stall, b.write_stall) << label;
+  EXPECT_EQ(a.write_queue_peak, b.write_queue_peak) << label;
+  EXPECT_EQ(a.prefetch_issued, b.prefetch_issued) << label;
+  EXPECT_EQ(a.prefetch_useful, b.prefetch_useful) << label;
+  EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted) << label;
+  EXPECT_EQ(a.disk_read_time, b.disk_read_time) << label;
+  EXPECT_EQ(a.disk_write_time, b.disk_write_time) << label;
+}
+
 }  // namespace ooctree::test
