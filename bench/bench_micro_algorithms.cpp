@@ -171,15 +171,16 @@ void BM_AssemblyTree(benchmark::State& state) {
 BENCHMARK(BM_AssemblyTree)->Arg(64)->Arg(128);
 
 // The replay-paged shape of the end-to-end benchmark: a SYNTH tree
-// replayed along its OptMinMem schedule by 4 workers at M = 1.5 x LB with
-// 32-unit pages and a {0.5, 64} disk, sequential-order priority and Belady
-// eviction. range(0) is n, range(1) backfill_depth, range(2)
-// prefetch_window.
+// replayed along its OptMinMem schedule at M = 1.5 x LB with 32-unit pages
+// and a {0.5, 64} disk, sequential-order priority and Belady eviction.
+// range(0) is n, range(1) backfill_depth, range(2) prefetch_window and
+// range(3) workers (the share of rounds whose running tasks reserve every
+// frame, which skip the prefetch prediction, depends on it).
 void BM_SimulateParallelPaged(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 1);
   const core::Schedule reference = core::opt_minmem(t).schedule;
   parallel::PagedParallelConfig config;
-  config.base.workers = 4;
+  config.base.workers = static_cast<int>(state.range(3));
   config.base.memory = t.min_feasible_memory() * 3 / 2;
   config.base.priority = parallel::Priority::kSequentialOrder;
   config.base.backfill_depth = static_cast<int>(state.range(1));
@@ -196,8 +197,8 @@ void BM_SimulateParallelPaged(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulateParallelPaged)
-    ->ArgNames({"n", "depth", "window"})
-    ->ArgsProduct({{3000, 10000}, {0, 8}, {0, 8}})
+    ->ArgNames({"n", "depth", "window", "workers"})
+    ->ArgsProduct({{3000, 10000}, {0, 8}, {0, 8}, {2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

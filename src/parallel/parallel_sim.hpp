@@ -43,12 +43,20 @@
 //     O(window) per slot (backfill_depth tasks, or every fitting ready task
 //     at depth 0), and the prefetch prediction replays the start rule
 //     against the in-flight completions, O(prefetch_window · (depth +
-//     workers)) per round.
+//     workers)) per round that has an unreserved frame. A round whose
+//     running tasks reserve every frame has no free frame to stage into
+//     and no resident output to evict, so it skips the prediction; at
+//     full memory it also stops predicting once the consumer of the
+//     staging victim is predicted, which pins the victim so that nothing
+//     would be staged (not under kRandom, whose victim draw consumes the
+//     RNG).
 // Under OOCTREE_AUDIT builds (the dev preset) the engine re-checks these
 // invariants at runtime after every completion event — reservation
 // balance, frames conservation, write-at-most-once, mutation-free failed
-// starts — throwing core::AuditError on drift (src/core/check.hpp;
-// exercised plus fault-injected by tests/test_audit.cpp).
+// starts — and, every round, that a full reservation coincides with full
+// memory and an empty eviction index, throwing core::AuditError on drift
+// (src/core/check.hpp; exercised plus fault-injected by
+// tests/test_audit.cpp).
 // Two engines in tests/oracles/, outside the shipped library, are the
 // differential oracles; both rank tasks through the same prepare_replay().
 // The scan-based unit engine (parallel::oracle::simulate_parallel_reference,
@@ -153,8 +161,10 @@ struct ParallelConfig {
   /// the transfer with compute: pages that arrive before the consuming
   /// start are read-stall-free. Staging may evict — clean pages first,
   /// never the children of predicted starts, and never past write-queue
-  /// backpressure. 0 disables look-ahead — every read-back is a demand
-  /// read at task start. Inert without a disk model.
+  /// backpressure. Rounds in which staging provably moves nothing skip
+  /// the prediction (see the invariants above). 0 disables look-ahead —
+  /// every read-back is a demand read at task start. Inert without a disk
+  /// model.
   int prefetch_window = 0;
   /// Which live output loses units when a start needs room. kBelady evicts
   /// the output whose parent runs furthest in the *reference* order — the

@@ -283,8 +283,12 @@ void assign_number(DecodeState& state, const std::string& key, std::int64_t inte
     state.request.id = require_int();
     state.has_id = true;
   } else if (key == "nodes") {
+    // Node ids are core::NodeId: a larger tree could not be indexed.
     const std::int64_t v = require_int();
     if (v <= 0) throw std::runtime_error("'nodes' must be positive");
+    if (v > std::numeric_limits<core::NodeId>::max())
+      throw std::runtime_error("'nodes' must be <= " +
+                               std::to_string(std::numeric_limits<core::NodeId>::max()));
     state.request.nodes = static_cast<std::size_t>(v);
   } else if (key == "w_lo") {
     state.request.w_lo = require_int();

@@ -448,6 +448,53 @@ TEST_P(PagedOracle, EngineMatchesHeapScanReference) {
   }
 }
 
+// The regime where the engine skips the prefetch prediction: at
+// M = 1.5 x LB with 32-unit pages and 4 or 8 workers, rounds whose running
+// tasks reserve every frame are common, and at full memory the prediction
+// stops once the staging victim's consumer is predicted. The reference
+// always runs the whole prediction and staging; both must agree field for
+// field, kRandom's eviction draws included. One instance per policy.
+class SkippedPredictionRounds : public ::testing::TestWithParam<EvictionPolicy> {};
+
+TEST_P(SkippedPredictionRounds, MatchHeapScanReference) {
+  const EvictionPolicy policy = GetParam();
+  util::Rng rng(25101);
+  const Tree t = treegen::synth_instance(3000, 1, 100, rng);
+  const Weight page = 32;
+  const Weight lb = iosim::min_feasible_frames(t, page) * page;
+  for (const int workers : {4, 8}) {
+    for (const int depth : {0, 8}) {
+      for (const int queue : {0, 8}) {
+        PagedParallelConfig c;
+        c.base.workers = workers;
+        c.base.memory = lb * 3 / 2;
+        c.base.priority = Priority::kSequentialOrder;
+        c.base.evict = policy;
+        c.base.seed = 29u + static_cast<std::uint64_t>(workers + depth + queue);
+        c.base.backfill_depth = depth;
+        c.base.prefetch_window = 8;
+        c.base.write_queue_depth = queue;
+        c.page_size = page;
+        c.disk = iosim::DiskModel{0.5, 64.0};
+        const std::string label = "workers=" + std::to_string(workers) +
+                                  " depth=" + std::to_string(depth) +
+                                  " queue=" + std::to_string(queue);
+        const PagedParallelResult engine = simulate_parallel_paged(t, c);
+        ASSERT_TRUE(engine.base.feasible) << label;
+        EXPECT_GT(engine.prefetch_issued, 0) << label;
+        test::expect_same_paged_replay(
+            engine, parallel::oracle::simulate_parallel_paged_reference(t, c), label);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, SkippedPredictionRounds,
+                         ::testing::Values(EvictionPolicy::kBelady, EvictionPolicy::kLru,
+                                           EvictionPolicy::kLargestFirst,
+                                           EvictionPolicy::kRandom),
+                         [](const auto& info) { return core::eviction_policy_name(info.param); });
+
 INSTANTIATE_TEST_SUITE_P(
     ShapesAndPolicies, PagedOracle,
     ::testing::Combine(::testing::Values(Shape::kSynth, Shape::kCaterpillar, Shape::kSpider),

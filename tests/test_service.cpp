@@ -569,6 +569,24 @@ TEST(RequestIo, RejectsReplayKnobsAboveIntMax) {
   }
 }
 
+// `nodes` sizes a tree whose ids are core::NodeId (int32_t): a count past
+// its maximum is a decode error in both formats, and the maximum itself
+// decodes. The requests are only decoded, never served.
+TEST(RequestIo, RejectsNodesAboveNodeIdMax) {
+  for (const std::string value : {"2147483648", "4294967304"}) {
+    EXPECT_THROW((void)service::request_from_json(R"({"nodes": )" + value + "}"),
+                 std::runtime_error)
+        << value;
+    std::istringstream in("nodes\n" + value + "\n");
+    EXPECT_THROW((void)service::read_requests_csv(in), std::runtime_error) << value << " (CSV)";
+  }
+  EXPECT_EQ(service::request_from_json(R"({"nodes": 2147483647})").nodes, 2147483647u);
+  std::istringstream in("nodes\n2147483647\n");
+  const auto requests = service::read_requests_csv(in);
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].nodes, 2147483647u);
+}
+
 TEST(RequestIo, ReadsDiskPipelineKnobsFromCsv) {
   std::istringstream in(
       "nodes,workers,page_size,disk_bandwidth,write_queue_depth,prefetch_window\n"
