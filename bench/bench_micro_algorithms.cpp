@@ -57,6 +57,13 @@ void BM_OptMinMem_Caterpillar(benchmark::State& state) {
 }
 BENCHMARK(BM_OptMinMem_Caterpillar)->Arg(1000)->Arg(10000);
 
+void BM_OptMinMemAllPeaks(benchmark::State& state) {
+  const Tree t = synth(static_cast<std::size_t>(state.range(0)), 1);
+  for (auto _ : state) benchmark::DoNotOptimize(core::opt_minmem_all_peaks(t).back());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OptMinMemAllPeaks)->Arg(4000)->Arg(16000);
+
 void BM_PostOrderMinMem(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 4);
   for (auto _ : state) benchmark::DoNotOptimize(core::postorder_minmem(t).peak);
@@ -68,7 +75,7 @@ void BM_PostOrderMinIo(benchmark::State& state) {
   const Weight m = (t.min_feasible_memory() + core::opt_minmem_peak(t, t.root())) / 2;
   for (auto _ : state) benchmark::DoNotOptimize(core::postorder_minio(t, m).predicted_io);
 }
-BENCHMARK(BM_PostOrderMinIo)->Arg(3000)->Arg(30000);
+BENCHMARK(BM_PostOrderMinIo)->Arg(3000)->Arg(16000)->Arg(30000);
 
 void BM_FifSimulator(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 6);
@@ -83,7 +90,7 @@ void BM_RecExpand2(benchmark::State& state) {
   const Weight m = (t.min_feasible_memory() + core::opt_minmem_peak(t, t.root())) / 2;
   for (auto _ : state) benchmark::DoNotOptimize(core::rec_expand2(t, m).evaluation.io_volume);
 }
-BENCHMARK(BM_RecExpand2)->Arg(1000)->Arg(3000);
+BENCHMARK(BM_RecExpand2)->Arg(1000)->Arg(3000)->Arg(16000);
 
 // The incremental engine vs the retained reference path at the scaling
 // bench's acceptance point, M = 1.1 * LB (many expansions). See
@@ -128,6 +135,19 @@ void BM_RemyGenerator(benchmark::State& state) {
         treegen::uniform_binary_tree(static_cast<std::size_t>(state.range(0)), rng).size());
 }
 BENCHMARK(BM_RemyGenerator)->Arg(3000)->Arg(30000);
+
+// One SYNTH request's tree, as the planning service materializes it:
+// shape, weights and memory model (arg 1: 0 = max, 1 = sum) in one call.
+void BM_SynthInstance(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto model = state.range(1) == 0 ? core::MemoryModel::kMaxInOut
+                                         : core::MemoryModel::kSumInOut;
+  util::Rng rng(11);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(treegen::synth_instance(n, 1, 100, rng, model).size());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SynthInstance)->ArgsProduct({{4000, 16000}, {0, 1}});
 
 void BM_EtreeAndCounts(benchmark::State& state) {
   const auto k = static_cast<sparse::Index>(state.range(0));

@@ -13,23 +13,34 @@ PostOrderMinIoResult postorder_minio(const Tree& tree, NodeId root, Weight memor
   result.used.assign(tree.size(), 0);
   result.storage.assign(tree.size(), 0);
   result.io.assign(tree.size(), 0);
-  std::vector<std::vector<NodeId>> sorted_children(tree.size());
 
+  // Every node's children, copied once into one flat array; node i owns
+  // the slice starting at first[i] and sorts it in place.
   const std::vector<NodeId> order = tree.postorder(root);
+  std::vector<NodeId> sorted(order.size());
+  std::vector<std::size_t> first(tree.size(), 0);
+  std::size_t cursor = 0;
   for (const NodeId i : order) {
     const auto kids = tree.children(i);
-    auto& sorted = sorted_children[idx(i)];
-    sorted.assign(kids.begin(), kids.end());
+    first[idx(i)] = cursor;
+    const auto begin = sorted.begin() + static_cast<std::ptrdiff_t>(cursor);
+    const auto end = std::copy(kids.begin(), kids.end(), begin);
+    cursor += kids.size();
     // Theorem 3 with x_j = A_j, y_j = w_j: sort by non-increasing A_j - w_j.
-    std::stable_sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-      return result.used[idx(a)] - tree.weight(a) > result.used[idx(b)] - tree.weight(b);
+    // Children are stored by increasing id, so breaking ties by id keeps
+    // the stored order among equals (what a stable sort would do).
+    std::sort(begin, end, [&](NodeId a, NodeId b) {
+      const Weight ka = result.used[idx(a)] - tree.weight(a);
+      const Weight kb = result.used[idx(b)] - tree.weight(b);
+      return ka != kb ? ka > kb : a < b;
     });
 
     Weight s = tree.weight(i);
     Weight peak_used = 0;  // max_j (A_j + sum of w_k before j)
     Weight io_sum = 0;
     Weight before = 0;
-    for (const NodeId j : sorted) {
+    for (auto it = begin; it != end; ++it) {
+      const NodeId j = *it;
       s = std::max(s, result.storage[idx(j)] + before);
       peak_used = std::max(peak_used, result.used[idx(j)] + before);
       io_sum += result.io[idx(j)];
@@ -47,9 +58,8 @@ PostOrderMinIoResult postorder_minio(const Tree& tree, NodeId root, Weight memor
   stack.emplace_back(root, 0);
   while (!stack.empty()) {
     auto& [node, next] = stack.back();
-    const auto& sorted = sorted_children[idx(node)];
-    if (next < sorted.size()) {
-      stack.emplace_back(sorted[next++], 0);
+    if (next < tree.num_children(node)) {
+      stack.emplace_back(sorted[first[idx(node)] + next++], 0);
     } else {
       result.schedule.push_back(node);
       stack.pop_back();

@@ -12,10 +12,12 @@
 // (wbar, w) is appended and the sequence re-normalized.
 //
 // The implementation is iterative over a postorder (no recursion: 40k-node
-// chains must not overflow the call stack) and carries schedule chunks in
-// spliceable lists so segment merges cost O(1).
+// chains must not overflow the call stack), keeps every segment in one
+// stack-disciplined pool, and carries schedule chunks in spliceable lists
+// so segment merges cost O(1) and a call allocates O(1) times.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -49,25 +51,38 @@ struct OptMinMemResult {
 
 /// Optimal peaks of *every* subtree in a single bottom-up pass:
 /// result[v] == opt_minmem_peak(tree, v). Peaks are monotone along the
-/// tree (a parent's peak is at least each child's), which RecExpand uses
-/// to skip subtrees that fit in memory.
+/// tree (a parent's peak is at least each child's). RecExpand reads the
+/// same values from its own IncrementalMinMem instead of calling this.
 [[nodiscard]] std::vector<Weight> opt_minmem_all_peaks(const Tree& tree);
 
 /// Incremental OptMinMem over a growing tree — the engine behind the
-/// near-linear RecExpand path (rec_expand.cpp).
+/// near-linear RecExpand path (rec_expand.cpp) and the one-shot postorder
+/// behind opt_minmem, opt_minmem_peak and opt_minmem_all_peaks.
 ///
 /// The engine caches, per node, the normalized hill-valley sequence of its
-/// subtree's optimal traversal. Schedule chunks are intrusive linked lists
-/// threaded through a single next[] arena indexed by NodeId (every node
-/// occurs in exactly one chunk chain), so merging two segments is one
-/// pointer write and materializing a subtree's schedule is a plain list
-/// walk — no per-segment allocations at all.
+/// subtree's optimal traversal. All sequences live in one segment pool; a
+/// node owns an {offset, len} slice of it. Schedule chunks are intrusive
+/// linked lists threaded through a single next[] arena indexed by NodeId
+/// (every node occurs in exactly one chunk chain), so merging two segments
+/// is one pointer write and materializing a subtree's schedule is a plain
+/// list walk. Neither structure allocates per node: both grow
+/// geometrically and are reused across combines.
 ///
-/// combine(u) is *non-consuming*: it reads the children's cached sequences
-/// by value, so a later recombination of u (after the tree changed below
-/// it) only has to redo u itself. After an expansion, RecExpand recombines
-/// exactly the two new nodes plus the victim's ancestor path — amortized
-/// O(depth) instead of a full opt_minmem rerun.
+/// combine(u) appends u's merged sequence at the end of the pool. It is
+/// *non-consuming*: it reads the children's cached slices by value, so a
+/// later recombination of u (after the tree changed below it) only has to
+/// redo u itself. After an expansion, RecExpand recombines exactly the two
+/// new nodes plus the victim's ancestor path — amortized O(depth) instead
+/// of a full opt_minmem rerun. A recombined node's old slice becomes
+/// garbage; the pool compacts itself once garbage outweighs the live
+/// slices plus one slot per node, which keeps compaction amortized O(1)
+/// per garbage segment.
+///
+/// Release mode (`release_children`, the one-shot postorder) keeps the
+/// pool a stack: in a postorder, the children's slices sit contiguously at
+/// the pool's tail when their parent combines, so the merged result slides
+/// down over them and a single child's slice is extended in place. The
+/// pool then never holds more than the combine frontier's sequences.
 ///
 /// Consistency contract: combine(u) may relink chunk-chain tails belonging
 /// to u's descendants, which invalidates the *materialized order* cached by
@@ -91,15 +106,17 @@ class IncrementalMinMem {
   /// after the tree gained nodes).
   void reserve(std::size_t n);
 
-  /// True when u has a cached sequence.
+  /// True when u has a cached sequence (every cached sequence holds at
+  /// least u's own execution segment).
   [[nodiscard]] bool has(NodeId u) const {
-    return static_cast<std::size_t>(u) < valid_.size() && valid_[static_cast<std::size_t>(u)];
+    const auto i = static_cast<std::size_t>(u);
+    return i < slice_.size() && slice_[i].len > 0;
   }
 
   /// (Re)combines u's sequence from its children's cached sequences, which
   /// must all be valid. With `release_children` the children's sequences
-  /// are freed afterwards (one-shot mode used by opt_minmem; single-child
-  /// chains reuse the child's storage by move).
+  /// are dropped afterwards, and their pool space is reused when they are
+  /// the pool's tail (the one-shot postorder of opt_minmem).
   void combine(const Tree& tree, NodeId u, bool release_children = false);
 
   /// Combines every not-yet-cached node of subtree(r), bottom-up; nodes
@@ -107,12 +124,17 @@ class IncrementalMinMem {
   /// whole subtree is guaranteed cached). O(newly combined nodes).
   void ensure(const Tree& tree, NodeId r);
 
-  /// Optimal peak of subtree(u); requires has(u).
-  [[nodiscard]] Weight peak(NodeId u) const;
+  /// Optimal peak of subtree(u); requires has(u). O(1): hills strictly
+  /// decrease, so the first segment's hill is the peak.
+  [[nodiscard]] Weight peak(NodeId u) const {
+    return pool_[slice_[static_cast<std::size_t>(u)].offset].hill;
+  }
 
-  /// The cached normalized sequence of u; requires has(u).
-  [[nodiscard]] const std::vector<Segment>& sequence(NodeId u) const {
-    return seq_[static_cast<std::size_t>(u)];
+  /// The cached normalized sequence of u; requires has(u). The view is
+  /// invalidated by the next combine() or ensure().
+  [[nodiscard]] std::span<const Segment> sequence(NodeId u) const {
+    const Slice& s = slice_[static_cast<std::size_t>(u)];
+    return {pool_.data() + s.offset, s.len};
   }
 
   /// Appends subtree(u)'s optimal schedule to `out` (see the consistency
@@ -120,10 +142,19 @@ class IncrementalMinMem {
   void extract_schedule(NodeId u, Schedule& out) const;
 
  private:
-  std::vector<std::vector<Segment>> seq_;
+  struct Slice {
+    std::size_t offset = 0;
+    std::size_t len = 0;  // 0: no cached sequence
+  };
+
+  /// Moves every live slice to the front of the pool, in node order.
+  void compact();
+
+  std::vector<Segment> pool_;
+  std::vector<Slice> slice_;  // per node: its sequence within pool_
+  std::size_t garbage_ = 0;   // pool_ segments no live slice covers
   std::vector<NodeId> next_;  // chunk arena: successor of each node in its chain
-  std::vector<char> valid_;
-  // Scratch for combine(), reused across calls.
+  // Scratch for combine() and compact(), reused across calls.
   struct Head {
     Weight key = 0;         // hill - valley of the child's next segment
     std::size_t child = 0;  // position within the children list
@@ -135,6 +166,7 @@ class IncrementalMinMem {
   std::vector<Head> heap_;
   std::vector<Weight> resident_;
   std::vector<std::pair<NodeId, std::size_t>> dfs_;
+  std::vector<Segment> spare_;
 };
 
 }  // namespace ooctree::core

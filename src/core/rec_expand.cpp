@@ -23,7 +23,35 @@ struct SubtreeScratch {
   std::vector<Weight> io;         // rank -> FiF write amount
   std::vector<char> in_active;    // rank -> currently in the active set
   std::vector<std::uint64_t> heap;  // packed (parent_step << 32 | rank) max-heap
+  std::vector<std::pair<NodeId, std::size_t>> dfs;  // postorder walk stack
 };
+
+/// v.assign(s, value) with geometric capacity growth: the processed
+/// subtrees grow one expansion at a time, and an exact-fit assign would
+/// reallocate on every iteration.
+template <typename T>
+void reset(std::vector<T>& v, std::size_t s, T value) {
+  if (v.capacity() < s) v.reserve(std::max(s, 2 * v.capacity()));
+  v.assign(s, value);
+}
+
+/// scratch.post = tree.postorder(sr), into the reused buffers.
+void subtree_postorder(const Tree& tree, NodeId sr, SubtreeScratch& scratch) {
+  scratch.post.clear();
+  scratch.dfs.clear();
+  scratch.dfs.emplace_back(sr, 0);
+  while (!scratch.dfs.empty()) {
+    auto& [node, next_child] = scratch.dfs.back();
+    const auto kids = tree.children(node);
+    if (next_child < kids.size()) {
+      const NodeId c = kids[next_child++];
+      scratch.dfs.emplace_back(c, 0);
+    } else {
+      scratch.post.push_back(node);
+      scratch.dfs.pop_back();
+    }
+  }
+}
 
 /// FiF simulation of `scratch.sched` restricted to subtree(sr) of the
 /// expanded tree, in the *rank* domain — rank k is exactly the id node
@@ -35,11 +63,11 @@ struct SubtreeScratch {
 /// keeping the partial io accumulated so far.
 void subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& scratch) {
   const std::size_t s = scratch.post.size();
-  scratch.pos.assign(s, 0);
+  reset<std::size_t>(scratch.pos, s, 0);
   for (std::size_t t = 0; t < s; ++t) scratch.pos[idx(scratch.rank_of[idx(scratch.sched[t])])] = t;
-  scratch.resident.assign(s, 0);
-  scratch.io.assign(s, 0);
-  scratch.in_active.assign(s, 0);
+  reset<Weight>(scratch.resident, s, 0);
+  reset<Weight>(scratch.io, s, 0);
+  reset<char>(scratch.in_active, s, 0);
   scratch.heap.clear();
   Weight active_resident = 0;
 
@@ -132,18 +160,14 @@ NodeId select_victim(const Tree& tree, const RecExpandOptions& options,
 
 }  // namespace
 
-RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptions& options) {
-  // Exact optimal peaks of every original subtree, one bottom-up pass.
-  // Peaks are monotone along the tree, so a subtree whose peak fits in
-  // memory contains no expansion work anywhere below it either, and its
-  // expanded counterpart is untouched — skip it without running anything.
-  return rec_expand(tree, memory, options, opt_minmem_all_peaks(tree));
+RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptions& options,
+                           const std::vector<Weight>& orig_peaks) {
+  if (orig_peaks.size() != tree.size())
+    throw std::invalid_argument("rec_expand: orig_peaks size does not match the tree");
+  return rec_expand(tree, memory, options);
 }
 
-RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptions& options,
-                           const std::vector<Weight>& orig_peak) {
-  if (orig_peak.size() != tree.size())
-    throw std::invalid_argument("rec_expand: orig_peaks size does not match the tree");
+RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptions& options) {
   RecExpandResult result;
 
   ExpandedTree expanded = ExpandedTree::identity(tree);
@@ -160,13 +184,18 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
 
   const std::vector<NodeId> order = tree.postorder();
   for (const NodeId r : order) {
-    if (orig_peak[idx(r)] <= memory) continue;
-
     // Expand-and-retry loop of Algorithm 2 on the (expanded) subtree of r.
     // sr is stable across the loop: the victim always has tau > 0, hence a
     // parent inside the subtree, so it is never the subtree root itself.
     const NodeId sr = top_rep[idx(r)];
-    engine.ensure(expanded.tree, sr);  // combines only not-yet-cached nodes
+    // Combines only the not-yet-cached nodes: in this postorder, r itself
+    // plus whatever an expansion below left dirty. The engine's peak is the
+    // subtree's exact optimal peak, so a subtree that fits is skipped by the
+    // loop's first test. When r's original subtree already fits, nothing
+    // below r was ever expanded (peaks are monotone along the tree), so the
+    // expanded subtree is the original one and is skipped exactly as an
+    // up-front pass over the original peaks would skip it.
+    engine.ensure(expanded.tree, sr);
     std::size_t node_expansions = 0;
     for (;;) {
       if (engine.peak(sr) <= memory) break;
@@ -175,7 +204,7 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
 
       // Rank mapping: rank k == the id node post[k] would carry in the
       // standalone Tree the reference path extracts with Tree::subtree.
-      scratch.post = expanded.tree.postorder(sr);
+      subtree_postorder(expanded.tree, sr, scratch);
       if (scratch.rank_of.size() < expanded.tree.size())
         scratch.rank_of.resize(expanded.tree.size(), kNoNode);
       for (std::size_t k = 0; k < scratch.post.size(); ++k)

@@ -72,16 +72,22 @@ struct RecExpandResult {
 /// Produces bit-identical schedules, I/O volumes and peaks to the
 /// rebuild-per-iteration oracle in tests/oracles/rec_expand_reference.hpp
 /// (enforced by test_expansion_incremental.cpp).
+///
+/// Subtree peaks come from the engine itself: the postorder walk combines
+/// each subtree once and reads its optimal peak in O(1), so there is no
+/// separate opt_minmem_all_peaks pass. A subtree whose peak fits in memory
+/// is skipped; since peaks are monotone along the tree, nothing below it
+/// was expanded either, so this is exactly the test against the original
+/// tree's peaks.
 [[nodiscard]] RecExpandResult rec_expand(const Tree& tree, Weight memory,
                                          const RecExpandOptions& options);
 
-/// Same heuristic with the memory-independent subtree peaks precomputed by
-/// the caller. `orig_peaks` must be exactly opt_minmem_all_peaks(tree) —
-/// the overload exists so a batch of runs over one tree at different
-/// memory bounds (service-layer fusion) shares that bottom-up pass; passing
-/// anything else silently changes which subtrees are skipped. Throws
-/// std::invalid_argument when the size does not match the tree. The 3-arg
-/// overload delegates here, so results are identical by construction.
+/// Legacy overload taking precomputed subtree peaks. `orig_peaks` is only
+/// checked to have one entry per node (std::invalid_argument otherwise) and
+/// is otherwise unread: the 3-arg overload computes the peaks it needs in
+/// the same pass that plans. Kept only because the end-to-end benchmark's
+/// layer decomposition (bench_e2e/decompose.cpp) still calls it; it goes
+/// when that caller does.
 [[nodiscard]] RecExpandResult rec_expand(const Tree& tree, Weight memory,
                                          const RecExpandOptions& options,
                                          const std::vector<Weight>& orig_peaks);

@@ -8,9 +8,7 @@
 #include <utility>
 
 #include "src/core/check.hpp"
-#include "src/core/minio_postorder.hpp"
 #include "src/core/minmem_optimal.hpp"
-#include "src/core/rec_expand.hpp"
 #include "src/util/stopwatch.hpp"
 
 namespace ooctree::service {
@@ -31,52 +29,30 @@ std::shared_ptr<const PlanStats> error_stats(const std::string& message) {
 
 }  // namespace
 
-/// Per-tree shared planning state of one fused group. Only state that is a
-/// *pure function of the tree alone* is shared — the OptMinMem schedule and
-/// the opt_minmem_all_peaks vector, both memory-independent — so run() is
-/// bit-identical to core::run_strategy by construction: kOptMinMem hands
-/// out copies of the one optimal schedule run_strategy would recompute,
-/// and the RecExpand variants call the rec_expand overload the 3-arg
-/// entry point itself delegates to. kPostOrderMinIo is memory-dependent
-/// and shares nothing beyond the materialized tree.
+/// Per-tree shared planning state of one fused group. Only the OptMinMem
+/// schedule is shared: it is a pure function of the tree alone (M does
+/// not enter), so kOptMinMem hands out copies of the one optimal schedule
+/// core::run_strategy would recompute, and every other strategy *is*
+/// core::run_strategy. run() is therefore bit-identical to it by
+/// construction. RecExpand needs no shared pass: it reads subtree peaks
+/// from its own incremental engine.
 class PlanService::SharedPlanState {
  public:
   explicit SharedPlanState(const core::Tree& tree) : tree_(tree) {}
 
   [[nodiscard]] core::StrategyOutcome run(core::Strategy s, core::Weight memory) {
+    if (s != core::Strategy::kOptMinMem) return core::run_strategy(s, tree_, memory);
+    if (!optminmem_.has_value()) optminmem_ = core::opt_minmem(tree_).schedule;
     core::StrategyOutcome out;
     out.strategy = s;
-    switch (s) {
-      case core::Strategy::kPostOrderMinIo:
-        out.schedule = core::postorder_minio(tree_, memory).schedule;
-        break;
-      case core::Strategy::kOptMinMem:
-        if (!optminmem_.has_value()) optminmem_ = core::opt_minmem(tree_).schedule;
-        out.schedule = *optminmem_;
-        break;
-      case core::Strategy::kRecExpand: {
-        core::RecExpandOptions options;
-        options.max_expansions_per_node = 2;
-        out.schedule = core::rec_expand(tree_, memory, options, peaks()).schedule;
-        break;
-      }
-      case core::Strategy::kFullRecExpand:
-        out.schedule = core::rec_expand(tree_, memory, core::RecExpandOptions{}, peaks()).schedule;
-        break;
-    }
+    out.schedule = *optminmem_;
     out.evaluation = core::simulate_fif(tree_, out.schedule, memory);
     return out;
   }
 
  private:
-  [[nodiscard]] const std::vector<core::Weight>& peaks() {
-    if (!all_peaks_.has_value()) all_peaks_ = core::opt_minmem_all_peaks(tree_);
-    return *all_peaks_;
-  }
-
   const core::Tree& tree_;
   std::optional<core::Schedule> optminmem_;
-  std::optional<std::vector<core::Weight>> all_peaks_;
 };
 
 PlanService::PlanService(ServiceConfig config)

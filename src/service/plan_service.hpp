@@ -89,13 +89,12 @@ class PlanService {
   [[nodiscard]] PlanResponse plan(const PlanRequest& request);
 
   /// Serves a batch synchronously with *fusion*: requests that materialize
-  /// the same tree (equal tree_identity) share one materialization and the
-  /// memory-independent planning passes — OptMinMem members share the one
-  /// optimal schedule (it does not depend on M), RecExpand/FullRecExpand
-  /// members share the opt_minmem_all_peaks bottom-up pass — instead of K
-  /// independent full computes. Everything shared is a pure function of the
-  /// tree alone, so fused responses are bit-identical to independent
-  /// plan() calls (pinned by tests/test_server.cpp and the fusion rows of
+  /// the same tree (equal tree_identity) share one materialization, and
+  /// OptMinMem members share the one optimal schedule (it does not depend
+  /// on M) — instead of K independent full computes. Everything shared is
+  /// a pure function of the tree alone, so fused responses are
+  /// bit-identical to independent plan() calls (pinned by
+  /// tests/test_server.cpp and the fusion rows of
   /// bench_service_throughput). Fused members respond Served::kFused; the
   /// cache layers still apply (hits respond kCached), singleton groups take
   /// the ordinary serve() path, and responses come back in request order.

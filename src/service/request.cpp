@@ -155,7 +155,8 @@ core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed) {
         if (request.w_lo < 1 || request.w_hi < request.w_lo)
           throw std::invalid_argument("synth request: need 1 <= w_lo <= w_hi");
         util::Rng rng(seed);
-        return treegen::synth_instance(request.nodes, request.w_lo, request.w_hi, rng);
+        return treegen::synth_instance(request.nodes, request.w_lo, request.w_hi, rng,
+                                       request.model);
       }
       case TreeSource::kParents:
         return core::Tree::from_parents(request.parent, request.weight, request.model);
@@ -182,7 +183,13 @@ core::Weight resolve_memory(const PlanRequest& request, const core::Tree& tree) 
   }
   if (request.memory_lb < 1.0)
     throw std::invalid_argument("memory_lb multiple must be >= 1.0");
-  return std::max(lb, static_cast<core::Weight>(static_cast<double>(lb) * request.memory_lb));
+  // Converting a double at or above 2^63 (or a NaN / infinity) to int64 is
+  // undefined; on x86 it yields INT64_MIN, which the max() below would
+  // silently turn into the tightest bound LB.
+  const double bound = static_cast<double>(lb) * request.memory_lb;
+  if (!(bound < 0x1p63))
+    throw std::invalid_argument("memory_lb multiple gives a bound beyond the int64 range");
+  return std::max(lb, static_cast<core::Weight>(bound));
 }
 
 std::optional<std::uint64_t> request_fingerprint(const PlanRequest& request, std::uint64_t seed) {

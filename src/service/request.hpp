@@ -178,7 +178,9 @@ struct PlanResponse {
 [[nodiscard]] core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed);
 
 /// Resolves the request's memory bound against the materialized tree.
-/// Throws std::invalid_argument when an absolute bound is below LB.
+/// Throws std::invalid_argument when an absolute bound is below LB, when
+/// the multiple is below 1, or when LB × memory_lb is not a finite value
+/// below 2^63 (no int64 bound represents it).
 [[nodiscard]] core::Weight resolve_memory(const PlanRequest& request, const core::Tree& tree);
 
 /// Fingerprint of a *value-determined* request: a 64-bit digest of every

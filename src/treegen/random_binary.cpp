@@ -3,8 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "src/treegen/weights.hpp"
-
 namespace ooctree::treegen {
 
 namespace {
@@ -17,15 +15,11 @@ struct FullTree {
   core::NodeId root = 0;
 };
 
-}  // namespace
-
-core::Tree remy_binary_tree(std::size_t internal, util::Rng& rng) {
-  if (internal == 0) throw std::invalid_argument("remy_binary_tree: need at least one node");
-
-  // Rémy's algorithm: grow a uniform full binary tree with k internal nodes
-  // by repeatedly picking a uniform (node, side) pair: the picked node is
-  // pushed down under a fresh internal node whose other side gets a fresh
-  // leaf. Node count: 2k+1.
+/// Rémy's algorithm: grows a uniform full binary tree with `internal`
+/// internal nodes by repeatedly picking a uniform (node, side) pair: the
+/// picked node is pushed down under a fresh internal node whose other side
+/// gets a fresh leaf. Node count: 2 * internal + 1.
+FullTree grow_remy(std::size_t internal, util::Rng& rng) {
   FullTree t;
   const std::size_t total = 2 * internal + 1;
   t.child.reserve(total);
@@ -34,7 +28,7 @@ core::Tree remy_binary_tree(std::size_t internal, util::Rng& rng) {
   t.parent.push_back(core::kNoNode);
   t.root = 0;
 
-  for (std::size_t k = 1; k <= internal - 0; ++k) {
+  for (std::size_t k = 1; k <= internal; ++k) {
     if (t.child.size() >= total) break;
     const std::size_t nodes = t.child.size();
     const std::size_t pick = rng.index(2 * nodes);
@@ -62,39 +56,55 @@ core::Tree remy_binary_tree(std::size_t internal, util::Rng& rng) {
       else up_child[1] = fresh_internal;
     }
   }
+  return t;
+}
 
-  // Emit the full tree (weights 1).
-  std::vector<core::NodeId> parent(t.parent.begin(), t.parent.end());
-  return core::Tree::from_parents(std::move(parent),
-                                  std::vector<core::Weight>(t.child.size(), 1));
+/// Parent array of the full tree's internal nodes, renumbered in
+/// increasing original id. The internal nodes of a uniform full binary tree
+/// with n internal nodes form a uniform (ordered) binary tree with n nodes:
+/// stripping the leaves is a bijection between the two families.
+std::vector<core::NodeId> strip_leaves(const FullTree& full) {
+  // new_id[v]: v's id among the internal nodes (leaves keep kNoNode).
+  std::vector<core::NodeId> new_id(full.parent.size(), core::kNoNode);
+  core::NodeId kept = 0;
+  for (std::size_t v = 0; v < full.parent.size(); ++v)
+    if (full.child[v][0] != core::kNoNode) new_id[v] = kept++;
+  std::vector<core::NodeId> parent(static_cast<std::size_t>(kept), core::kNoNode);
+  for (std::size_t v = 0; v < full.parent.size(); ++v) {
+    const core::NodeId k = new_id[v];
+    // In a full binary tree every ancestor of an internal node is internal.
+    if (k != core::kNoNode && full.parent[v] != core::kNoNode)
+      parent[static_cast<std::size_t>(k)] = new_id[static_cast<std::size_t>(full.parent[v])];
+  }
+  return parent;
+}
+
+/// Parent array of a uniform random binary tree with n nodes.
+std::vector<core::NodeId> uniform_binary_parents(std::size_t n, util::Rng& rng) {
+  if (n == 0) throw std::invalid_argument("uniform_binary_tree: n must be positive");
+  return strip_leaves(grow_remy(n, rng));
+}
+
+}  // namespace
+
+core::Tree remy_binary_tree(std::size_t internal, util::Rng& rng) {
+  if (internal == 0) throw std::invalid_argument("remy_binary_tree: need at least one node");
+  FullTree t = grow_remy(internal, rng);
+  const std::size_t n = t.parent.size();
+  return core::Tree::from_parents(std::move(t.parent), std::vector<core::Weight>(n, 1));
 }
 
 core::Tree uniform_binary_tree(std::size_t n, util::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("uniform_binary_tree: n must be positive");
-  // The internal nodes of a uniform full binary tree with n internal nodes
-  // form a uniform (ordered) binary tree with n nodes: stripping the leaves
-  // is a bijection between the two families.
-  const core::Tree full = remy_binary_tree(n, rng);
-  std::vector<core::NodeId> keep;  // internal nodes of `full`
-  std::vector<core::NodeId> new_id(full.size(), core::kNoNode);
-  for (std::size_t v = 0; v < full.size(); ++v) {
-    if (!full.is_leaf(static_cast<core::NodeId>(v))) {
-      new_id[v] = static_cast<core::NodeId>(keep.size());
-      keep.push_back(static_cast<core::NodeId>(v));
-    }
-  }
-  std::vector<core::NodeId> parent(keep.size(), core::kNoNode);
-  for (std::size_t k = 0; k < keep.size(); ++k) {
-    const core::NodeId p = full.parent(keep[k]);
-    // In a full binary tree every ancestor of an internal node is internal.
-    if (p != core::kNoNode) parent[k] = new_id[static_cast<std::size_t>(p)];
-  }
-  return core::Tree::from_parents(std::move(parent), std::vector<core::Weight>(keep.size(), 1));
+  return core::Tree::from_parents(uniform_binary_parents(n, rng), std::vector<core::Weight>(n, 1));
 }
 
-core::Tree synth_instance(std::size_t n, core::Weight w_lo, core::Weight w_hi, util::Rng& rng) {
-  const core::Tree shape = uniform_binary_tree(n, rng);
-  return with_uniform_weights(shape, w_lo, w_hi, rng);
+core::Tree synth_instance(std::size_t n, core::Weight w_lo, core::Weight w_hi, util::Rng& rng,
+                          core::MemoryModel model) {
+  std::vector<core::NodeId> parent = uniform_binary_parents(n, rng);
+  // Drawn in node order after the shape, as with_uniform_weights does.
+  std::vector<core::Weight> weight(n);
+  for (auto& w : weight) w = rng.uniform_int(w_lo, w_hi);
+  return core::Tree::from_parents(std::move(parent), std::move(weight), model);
 }
 
 }  // namespace ooctree::treegen

@@ -28,8 +28,12 @@ namespace ooctree::treegen {
 [[nodiscard]] core::Tree uniform_binary_tree(std::size_t n, util::Rng& rng);
 
 /// The paper's SYNTH instance: a uniform binary tree of `n` nodes with
-/// weights drawn uniformly from [w_lo, w_hi].
+/// weights drawn uniformly from [w_lo, w_hi], under the given memory model.
+/// Equal to with_uniform_weights(uniform_binary_tree(n, rng), w_lo, w_hi,
+/// rng).with_memory_model(model) — same draws, same tree — but builds the
+/// Tree once, straight from Rémy's arrays.
 [[nodiscard]] core::Tree synth_instance(std::size_t n, core::Weight w_lo, core::Weight w_hi,
-                                        util::Rng& rng);
+                                        util::Rng& rng,
+                                        core::MemoryModel model = core::MemoryModel::kMaxInOut);
 
 }  // namespace ooctree::treegen

@@ -1,0 +1,146 @@
+// Allocation guard for the cold planning path.
+//
+// The planners reserve their working storage once per call and reuse it:
+// OptMinMem keeps every hill-valley segment in one pool, RecExpand reads
+// subtree peaks from its own incremental engine, PostOrderMinIO sorts one
+// flat child array, and SYNTH builds its Tree once. This suite replaces the
+// global operator new with a counting one and asserts that each kernel
+// allocates a bounded number of times on a 16000-node SYNTH tree — a
+// per-node allocation anywhere on the path costs thousands and fails here.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "src/core/minio_postorder.hpp"
+#include "src/core/minmem_optimal.hpp"
+#include "src/core/rec_expand.hpp"
+#include "src/treegen/random_binary.hpp"
+#include "src/util/rng.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+// The library's operator new[] and nothrow forms forward to this one. GCC
+// cannot see that the replaced new and delete pair malloc with free.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+namespace ooctree {
+namespace {
+
+using core::MemoryModel;
+using core::Tree;
+using core::Weight;
+
+constexpr std::size_t kNodes = 16000;
+constexpr std::size_t kMaxAllocations = 256;
+
+/// Heap allocations made while running `f`.
+template <typename F>
+std::size_t allocations_of(F&& f) {
+  const std::size_t before = g_allocations.load();
+  f();
+  return g_allocations.load() - before;
+}
+
+Tree synth_tree(MemoryModel model) {
+  util::Rng rng(17);
+  return treegen::synth_instance(kNodes, 1, 100, rng).with_memory_model(model);
+}
+
+class AllocationGuard : public ::testing::TestWithParam<MemoryModel> {
+ protected:
+  void SetUp() override { tree_ = synth_tree(GetParam()); }
+
+  /// The bounds the cold-plan workload sweeps, as multiples of LB.
+  std::vector<Weight> bounds() const {
+    const Weight lb = tree_->min_feasible_memory();
+    return {lb + lb / 20, lb + lb / 10, lb + lb / 2, 2 * lb};
+  }
+
+  std::optional<Tree> tree_;
+};
+
+TEST(AllocationGuardCounter, CountsHeapAllocations) {
+  // The counter must see allocations, or every bound below holds vacuously.
+  const std::size_t n = allocations_of([] {
+    std::vector<int> v(8);
+    ASSERT_EQ(v.size(), 8u);
+  });
+  EXPECT_EQ(n, 1u);
+}
+
+TEST_P(AllocationGuard, OptMinMem) {
+  Weight peak = 0;
+  const std::size_t n = allocations_of([&] { peak = core::opt_minmem(*tree_).peak; });
+  EXPECT_GT(peak, 0);
+  EXPECT_LT(n, kMaxAllocations);
+}
+
+TEST_P(AllocationGuard, OptMinMemAllPeaks) {
+  std::size_t size = 0;
+  const std::size_t n =
+      allocations_of([&] { size = core::opt_minmem_all_peaks(*tree_).size(); });
+  EXPECT_EQ(size, kNodes);
+  EXPECT_LT(n, kMaxAllocations);
+}
+
+TEST_P(AllocationGuard, RecExpand2) {
+  for (const Weight memory : bounds()) {
+    std::size_t scheduled = 0;
+    const std::size_t n =
+        allocations_of([&] { scheduled = core::rec_expand2(*tree_, memory).schedule.size(); });
+    EXPECT_EQ(scheduled, kNodes);
+    EXPECT_LT(n, kMaxAllocations) << "M = " << memory;
+  }
+}
+
+TEST_P(AllocationGuard, PostOrderMinIo) {
+  for (const Weight memory : bounds()) {
+    std::size_t scheduled = 0;
+    const std::size_t n = allocations_of(
+        [&] { scheduled = core::postorder_minio(*tree_, memory).schedule.size(); });
+    EXPECT_EQ(scheduled, kNodes);
+    EXPECT_LT(n, kMaxAllocations) << "M = " << memory;
+  }
+}
+
+TEST_P(AllocationGuard, SynthInstance) {
+  std::size_t size = 0;
+  const std::size_t n = allocations_of([&] {
+    util::Rng rng(17);
+    size = treegen::synth_instance(kNodes, 1, 100, rng, GetParam()).size();
+  });
+  EXPECT_EQ(size, kNodes);
+  EXPECT_LT(n, kMaxAllocations);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModels, AllocationGuard,
+                         ::testing::Values(MemoryModel::kMaxInOut, MemoryModel::kSumInOut),
+                         [](const auto& info) {
+                           return info.param == MemoryModel::kMaxInOut ? std::string("MaxInOut")
+                                                                       : std::string("SumInOut");
+                         });
+
+}  // namespace
+}  // namespace ooctree

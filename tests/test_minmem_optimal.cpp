@@ -4,6 +4,9 @@
 // optimum exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/core/brute_force.hpp"
 #include "src/core/homogeneous.hpp"
 #include "src/core/minmem_optimal.hpp"
@@ -147,6 +150,66 @@ TEST(OptMinMem, SingleNodeAndStar) {
   // Star: root(1) with leaves 5, 6, 7: all leaves resident -> 18.
   const Tree star = make_tree({{kNoNode, 1}, {0, 5}, {0, 6}, {0, 7}});
   EXPECT_EQ(opt_minmem(star).peak, 18);
+}
+
+/// Compares the engine's cached state at every node with one-shot runs.
+void expect_engine_matches(const core::IncrementalMinMem& engine, const Tree& t) {
+  const auto peaks = core::opt_minmem_all_peaks(t);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const auto id = static_cast<core::NodeId>(i);
+    ASSERT_TRUE(engine.has(id));
+    EXPECT_EQ(engine.peak(id), peaks[i]) << "node " << id;
+  }
+  const core::OptMinMemResult expected = opt_minmem(t);
+  const auto seq = engine.sequence(t.root());
+  ASSERT_EQ(seq.size(), expected.segments.size());
+  for (std::size_t k = 0; k < seq.size(); ++k) {
+    EXPECT_EQ(seq[k].hill, expected.segments[k].first);
+    EXPECT_EQ(seq[k].valley, expected.segments[k].second);
+  }
+  core::Schedule schedule;
+  engine.extract_schedule(t.root(), schedule);
+  EXPECT_EQ(schedule, expected.schedule);
+}
+
+TEST(IncrementalMinMem, RepeatedRecombinationStaysExact) {
+  // Every round supersedes every node's slice, so garbage outgrows the live
+  // pool and the engine compacts several times along the way.
+  util::Rng rng(141);
+  const Tree t = test::small_random_wide_tree(300, 40, rng);
+  core::IncrementalMinMem engine;
+  engine.ensure(t, t.root());
+  const std::vector<core::NodeId> order = t.postorder();
+  for (int round = 0; round < 6; ++round) {
+    for (const core::NodeId u : order) engine.combine(t, u);
+    expect_engine_matches(engine, t);
+  }
+}
+
+TEST(IncrementalMinMem, ReleaseModeOutsideAPostorder) {
+  // Children before parents but not in a postorder (deepest level first):
+  // siblings' slices are not the pool's tail when their parent combines,
+  // so release mode must fall back to appending.
+  util::Rng rng(143);
+  const Tree t = test::small_random_wide_tree(200, 40, rng);
+  const auto idx = [](core::NodeId i) { return static_cast<std::size_t>(i); };
+  std::vector<std::size_t> depth(t.size(), 0);
+  std::vector<core::NodeId> order = t.postorder();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const core::NodeId p = t.parent(*it);
+    if (p != kNoNode) depth[idx(*it)] = depth[idx(p)] + 1;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](core::NodeId a, core::NodeId b) {
+    return depth[idx(a)] > depth[idx(b)];
+  });
+  core::IncrementalMinMem engine;
+  for (const core::NodeId u : order) engine.combine(t, u, /*release_children=*/true);
+  const core::OptMinMemResult expected = opt_minmem(t);
+  EXPECT_EQ(engine.peak(t.root()), expected.peak);
+  core::Schedule schedule;
+  engine.extract_schedule(t.root(), schedule);
+  EXPECT_EQ(schedule, expected.schedule);
+  for (const core::NodeId c : t.children(t.root())) EXPECT_FALSE(engine.has(c));
 }
 
 }  // namespace

@@ -203,6 +203,50 @@ TEST(PlanService, AbsoluteBoundBelowLbFailsCleanly) {
   EXPECT_EQ(planner.stats().failed, 1u);
 }
 
+TEST(PlanService, UnrepresentableMemoryMultipleFails) {
+  // LB * memory_lb at or beyond 2^63 has no int64 bound; converting it is
+  // undefined and on x86 used to plan at the tightest bound LB instead.
+  std::istringstream jsonl(R"({"id": 1, "nodes": 200, "seed": 5, "memory_lb": 1e300})"
+                           "\n"
+                           R"({"id": 2, "nodes": 200, "seed": 5, "memory_lb": 1e400})"
+                           "\n"
+                           R"({"id": 3, "nodes": 200, "seed": 5, "memory_lb": 1e15})"
+                           "\n");
+  std::istringstream csv(
+      "id,nodes,seed,memory_lb\n"
+      "4,200,5,1e300\n"
+      "5,200,5,1e15\n");
+  std::vector<PlanRequest> requests = service::read_requests_jsonl(jsonl);
+  for (PlanRequest& r : service::read_requests_csv(csv)) requests.push_back(std::move(r));
+  ASSERT_EQ(requests.size(), 5u);
+  const auto representable = [](const PlanRequest& r) { return r.memory_lb < 1e16; };
+
+  util::Rng rng(5);
+  const core::Weight lb = treegen::synth_instance(200, 1, 100, rng).min_feasible_memory();
+  const auto check = [&](const PlanRequest& request, const PlanResponse& response) {
+    if (representable(request)) {
+      ASSERT_TRUE(response.stats->ok) << response.stats->error;
+      EXPECT_EQ(response.stats->lb, lb);
+      EXPECT_EQ(response.stats->memory, static_cast<core::Weight>(static_cast<double>(lb) * 1e15));
+    } else {
+      EXPECT_FALSE(response.stats->ok) << "memory_lb " << request.memory_lb;
+      EXPECT_NE(response.stats->error.find("beyond the int64 range"), std::string::npos);
+    }
+  };
+
+  // The ordinary serve() path, one request at a time...
+  PlanService single(ServiceConfig{.threads = 1});
+  for (const PlanRequest& request : requests) check(request, single.plan(request));
+  // ...and the fused path: all five share one tree, so they form one group.
+  PlanService fused(ServiceConfig{.threads = 1});
+  const std::vector<PlanResponse> responses = fused.plan_fused(requests);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_NE(responses[i].served, Served::kComputed);
+    check(requests[i], responses[i]);
+  }
+}
+
 TEST(PlanService, MissingFileFailsAndIsNotCached) {
   PlanService planner(ServiceConfig{.threads = 1});
   PlanRequest request;

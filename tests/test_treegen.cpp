@@ -128,6 +128,29 @@ TEST(RandomBinary, SynthInstanceWeightsInRange) {
   EXPECT_GT(hi, 50) << "3000 uniform draws should reach the top half";
 }
 
+TEST(RandomBinary, SynthInstanceIsOneBuildOfTheComposedPipeline) {
+  // synth_instance builds its Tree once, but must equal the uniform shape,
+  // reweighted, then moved to the requested memory model — same draws, same
+  // ids, and the generator left in the same state.
+  using core::MemoryModel;
+  for (const MemoryModel model : {MemoryModel::kMaxInOut, MemoryModel::kSumInOut}) {
+    for (const std::size_t n : {1u, 2u, 3u, 64u, 1000u}) {
+      util::Rng direct_rng(829 + n);
+      const Tree direct = treegen::synth_instance(n, 3, 70, direct_rng, model);
+      util::Rng composed_rng(829 + n);
+      const Tree shape = treegen::uniform_binary_tree(n, composed_rng);
+      const Tree composed =
+          treegen::with_uniform_weights(shape, 3, 70, composed_rng).with_memory_model(model);
+      EXPECT_EQ(direct.memory_model(), model);
+      EXPECT_EQ(direct.canonical_hash(), composed.canonical_hash()) << "n = " << n;
+      EXPECT_EQ(direct.min_feasible_memory(), composed.min_feasible_memory());
+      EXPECT_EQ(direct_rng.index(1u << 30), composed_rng.index(1u << 30));
+    }
+  }
+  util::Rng rng(1);
+  EXPECT_THROW((void)treegen::synth_instance(0, 1, 100, rng), std::invalid_argument);
+}
+
 TEST(Shapes, ChainStarKaryCaterpillarSpider) {
   EXPECT_EQ(treegen::chain_tree({5, 4, 3}).depth(), 3u);
   EXPECT_EQ(treegen::star_tree(6, 2, 1).size(), 7u);
