@@ -1,6 +1,7 @@
 #include "src/service/plan_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <optional>
 #include <stdexcept>
@@ -25,6 +26,30 @@ std::shared_ptr<const PlanStats> error_stats(const std::string& message) {
   stats->ok = false;
   stats->error = message;
   return stats;
+}
+
+/// The first statically invalid page/replay combination of a request, or
+/// nullptr. Such requests fail before any cache lookup: they must neither
+/// collide with a valid request's keys nor pay for planning before the
+/// error surfaces.
+const char* replay_config_error(const PlanRequest& request) {
+  if (request.page_size < 0) return "page_size must be >= 0";
+  if (request.page_size > 0 && !request.parallel.has_value())
+    return "page_size requires a parallel replay config (workers)";
+  const auto finite_non_negative = [](double v) { return v >= 0 && std::isfinite(v); };
+  if (!finite_non_negative(request.disk_latency) || !finite_non_negative(request.disk_bandwidth))
+    return "disk_latency / disk_bandwidth must be finite and >= 0";
+  if (request.disk_latency > 0 && request.disk_bandwidth == 0)
+    return "disk_latency requires disk_bandwidth > 0";
+  if (request.disk_bandwidth > 0 && request.page_size == 0)
+    return "a disk model requires a paged replay (page_size > 0)";
+  // The disk-pipeline knobs model transfers against the DiskModel timeline;
+  // without one they would be silently inert — reject instead.
+  if (request.parallel.has_value() &&
+      (request.parallel->write_queue_depth > 0 || request.parallel->prefetch_window > 0) &&
+      request.disk_bandwidth == 0)
+    return "write_queue_depth / prefetch_window require a disk model (disk_bandwidth > 0)";
+  return nullptr;
 }
 
 }  // namespace
@@ -115,23 +140,8 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
   pending.reserve(members.size());
   for (const std::size_t i : members) {
     const PlanRequest& request = requests[i];
-    const auto fail = [&](const char* message) {
-      responses[i] = respond(request, error_stats(message), Served::kFused, watch.seconds());
-    };
-    if (request.page_size < 0) {
-      fail("page_size must be >= 0");
-    } else if (request.page_size > 0 && !request.parallel.has_value()) {
-      fail("page_size requires a parallel replay config (workers)");
-    } else if (request.disk_latency < 0 || request.disk_bandwidth < 0) {
-      fail("disk_latency / disk_bandwidth must be >= 0");
-    } else if (request.disk_latency > 0 && request.disk_bandwidth == 0) {
-      fail("disk_latency requires disk_bandwidth > 0");
-    } else if (request.disk_bandwidth > 0 && request.page_size == 0) {
-      fail("a disk model requires a paged replay (page_size > 0)");
-    } else if (request.parallel.has_value() &&
-               (request.parallel->write_queue_depth > 0 || request.parallel->prefetch_window > 0) &&
-               request.disk_bandwidth == 0) {
-      fail("write_queue_depth / prefetch_window require a disk model (disk_bandwidth > 0)");
+    if (const char* error = replay_config_error(request)) {
+      responses[i] = respond(request, error_stats(error), Served::kFused, watch.seconds());
     } else {
       const std::optional<std::uint64_t> fingerprint = request_fingerprint(request, seeds[i]);
       std::shared_ptr<const PlanStats> hit;
@@ -213,30 +223,8 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     return this->respond(request, std::move(stats), served, watch.seconds());
   };
 
-  // Statically invalid page/replay combinations fail before any cache
-  // lookup: they must neither collide with a valid request's keys nor pay
-  // for planning before the error surfaces.
-  if (request.page_size < 0)
-    return respond(error_stats("page_size must be >= 0"), Served::kComputed);
-  if (request.page_size > 0 && !request.parallel.has_value())
-    return respond(error_stats("page_size requires a parallel replay config (workers)"),
-                   Served::kComputed);
-  if (request.disk_latency < 0 || request.disk_bandwidth < 0)
-    return respond(error_stats("disk_latency / disk_bandwidth must be >= 0"), Served::kComputed);
-  if (request.disk_latency > 0 && request.disk_bandwidth == 0)
-    return respond(error_stats("disk_latency requires disk_bandwidth > 0"), Served::kComputed);
-  if (request.disk_bandwidth > 0 && request.page_size == 0)
-    return respond(error_stats("a disk model requires a paged replay (page_size > 0)"),
-                   Served::kComputed);
-  // The disk-pipeline knobs model transfers against the DiskModel timeline;
-  // without one they would be silently inert — reject instead.
-  if (request.parallel.has_value() &&
-      (request.parallel->write_queue_depth > 0 || request.parallel->prefetch_window > 0) &&
-      request.disk_bandwidth == 0)
-    return respond(
-        error_stats("write_queue_depth / prefetch_window require a disk model (disk_bandwidth "
-                    "> 0)"),
-        Served::kComputed);
+  if (const char* error = replay_config_error(request))
+    return respond(error_stats(error), Served::kComputed);
 
   // Layer 1: spec fingerprint — value-determined requests skip the tree.
   const std::optional<std::uint64_t> fingerprint = request_fingerprint(request, seed);
@@ -384,10 +372,7 @@ std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& re
     }
     stats->ok = true;
   } catch (const std::exception& e) {
-    auto failed = std::make_shared<PlanStats>();
-    failed->ok = false;
-    failed->error = e.what();
-    return failed;
+    return error_stats(e.what());
   }
   return stats;
 }

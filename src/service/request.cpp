@@ -127,18 +127,8 @@ std::string served_name(Served s) {
 }
 
 bool identical(const PlanStats& a, const PlanStats& b) {
-  return a.ok == b.ok && a.error == b.error && a.nodes == b.nodes &&
-         a.tree_hash == b.tree_hash && a.total_weight == b.total_weight && a.lb == b.lb &&
-         a.memory == b.memory && a.strategy == b.strategy && a.schedule == b.schedule &&
-         a.io == b.io && a.io_volume == b.io_volume && a.peak_resident == b.peak_resident &&
-         a.evictions == b.evictions && a.replayed == b.replayed &&
-         a.replay_feasible == b.replay_feasible && a.workers == b.workers &&
-         a.makespan == b.makespan && a.parallel_io == b.parallel_io &&
-         a.utilization == b.utilization && a.failed_starts == b.failed_starts &&
-         a.page_size == b.page_size && a.pages_written == b.pages_written &&
-         a.pages_read == b.pages_read && a.read_stall == b.read_stall &&
-         a.write_stall == b.write_stall && a.prefetch_issued == b.prefetch_issued &&
-         a.prefetch_useful == b.prefetch_useful && a.prefetch_wasted == b.prefetch_wasted;
+  return std::apply([&](auto... member) { return ((a.*member == b.*member) && ...); },
+                    kPlanStatsFields);
 }
 
 std::uint64_t effective_seed(const PlanRequest& request, std::uint64_t service_seed) {

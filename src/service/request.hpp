@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/strategies.hpp"
@@ -144,6 +145,19 @@ struct PlanStats {
   std::int64_t prefetch_useful = 0;  ///< prefetched pages consumed by their start
   std::int64_t prefetch_wasted = 0;  ///< prefetched pages evicted before use
 };
+
+/// Every PlanStats member, in .plan file order. identical() compares them
+/// and the result cache's .plan codec writes and reads them, so a new
+/// member is one entry here (and a kPlanVersion bump in result_cache.cpp).
+inline constexpr std::tuple kPlanStatsFields{
+    &PlanStats::ok, &PlanStats::error, &PlanStats::nodes, &PlanStats::tree_hash,
+    &PlanStats::total_weight, &PlanStats::lb, &PlanStats::memory, &PlanStats::strategy,
+    &PlanStats::schedule, &PlanStats::io, &PlanStats::io_volume, &PlanStats::peak_resident,
+    &PlanStats::evictions, &PlanStats::replayed, &PlanStats::replay_feasible, &PlanStats::workers,
+    &PlanStats::makespan, &PlanStats::parallel_io, &PlanStats::utilization,
+    &PlanStats::failed_starts, &PlanStats::page_size, &PlanStats::pages_written,
+    &PlanStats::pages_read, &PlanStats::read_stall, &PlanStats::write_stall,
+    &PlanStats::prefetch_issued, &PlanStats::prefetch_useful, &PlanStats::prefetch_wasted};
 
 /// Field-by-field equality of the deterministic payload — the differential
 /// check used to prove cached responses match recomputation exactly.

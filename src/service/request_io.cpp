@@ -1,15 +1,17 @@
 #include "src/service/request_io.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "src/util/text.hpp"
 
@@ -17,18 +19,27 @@ namespace ooctree::service {
 
 namespace {
 
+/// How a request field's value is spelled and checked.
+enum class FieldKind : std::uint8_t {
+  kInteger,  ///< decimal int64 within [lo, hi]
+  kReal,     ///< finite decimal double; >= 0 when lo == 0
+  kName,     ///< free text or an enum name
+  kBool,     ///< JSON boolean; CSV 1/0/true/false
+  kArray,    ///< integer array, elements within [lo, hi] (JSONL only)
+};
+using enum FieldKind;
+
 // ---------------------------------------------------------------------------
 // Minimal flat-JSON scanner: objects of string/number/bool/integer-array
 // values. No nested objects — the request schema is flat by design.
 
+/// One scanned value: a string (kName), a number (kReal, any number
+/// token), a boolean or an integer array. The field it is assigned to
+/// parses the tokens.
 struct JsonValue {
-  enum class Kind : std::uint8_t { kString, kNumber, kBool, kArray } kind = Kind::kNumber;
-  std::string str;
-  double number = 0.0;
-  std::int64_t integer = 0;
-  bool is_integer = false;
-  bool boolean = false;
-  std::vector<std::int64_t> array;
+  FieldKind kind = kReal;
+  std::string str;                       ///< kName contents
+  std::vector<std::string_view> tokens;  ///< number, "true"/"false", or array elements
 };
 
 class JsonScanner {
@@ -40,25 +51,12 @@ class JsonScanner {
   void parse_object(Visitor&& visit) {
     skip_ws();
     expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-    } else {
-      for (;;) {
-        skip_ws();
-        const std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        visit(key, parse_value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        break;
-      }
-    }
+    parse_list('}', [&] {
+      const std::string key = parse_string();
+      skip_ws();
+      expect(':');
+      visit(key, parse_value());
+    });
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after object");
   }
@@ -77,6 +75,24 @@ class JsonScanner {
   void expect(char c) {
     if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
+  }
+
+  /// Parses comma-separated items up to and including `close`.
+  template <typename Item>
+  void parse_list(char close, Item&& item) {
+    skip_ws();
+    if (peek() == close) {
+      ++pos_;
+      return;
+    }
+    for (;;) {
+      skip_ws();
+      item();
+      skip_ws();
+      if (peek() != ',') break;
+      ++pos_;
+    }
+    expect(close);
   }
 
   std::string parse_string() {
@@ -102,31 +118,25 @@ class JsonScanner {
     return out;
   }
 
-  JsonValue parse_number_value() {
+  /// Scans a JSON number; the field it is assigned to parses the token.
+  std::string_view parse_number_token() {
     const std::size_t start = pos_;
+    const auto digits = [&] {
+      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    };
     if (peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    bool integral = true;
-    if (peek() == '.' || peek() == 'e' || peek() == 'E') {
-      integral = false;
-      if (peek() == '.') {
-        ++pos_;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-      }
-      if (peek() == 'e' || peek() == 'E') {
-        ++pos_;
-        if (peek() == '+' || peek() == '-') ++pos_;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-      }
+    digits();
+    if (peek() == '.') {
+      ++pos_;
+      digits();
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("malformed number");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::strtod(token.c_str(), nullptr);
-    v.is_integer = integral;
-    if (integral) v.integer = std::strtoll(token.c_str(), nullptr, 10);
-    return v;
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (peek() == '+' || peek() == '-') ++pos_;
+      digits();
+    }
+    if (pos_ == start || text_.compare(start, pos_ - start, "-") == 0) fail("malformed number");
+    return std::string_view(text_).substr(start, pos_ - start);
   }
 
   JsonValue parse_value() {
@@ -134,39 +144,21 @@ class JsonScanner {
     JsonValue v;
     const char c = peek();
     if (c == '"') {
-      v.kind = JsonValue::Kind::kString;
+      v.kind = kName;
       v.str = parse_string();
     } else if (c == '[') {
       ++pos_;
-      v.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-      } else {
-        for (;;) {
-          skip_ws();
-          const JsonValue item = parse_number_value();
-          if (!item.is_integer) fail("array elements must be integers");
-          v.array.push_back(item.integer);
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          expect(']');
-          break;
-        }
-      }
-    } else if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = false;
+      v.kind = kArray;
+      parse_list(']', [&] { v.tokens.push_back(parse_number_token()); });
     } else {
-      return parse_number_value();
+      for (const std::string_view literal : {"true", "false"}) {
+        if (text_.compare(pos_, literal.size(), literal) != 0) continue;
+        pos_ += literal.size();
+        v.kind = kBool;
+        v.tokens.push_back(literal);
+        return v;
+      }
+      v.tokens.push_back(parse_number_token());
     }
     return v;
   }
@@ -176,27 +168,7 @@ class JsonScanner {
 };
 
 // ---------------------------------------------------------------------------
-// Field assignment shared by the JSONL and CSV decoders.
-
-/// Every request field, in the order the unknown-field error lists them.
-constexpr std::array<std::string_view, 26> kFields{
-    "id", "tenant", "source", "nodes", "w_lo", "w_hi", "seed", "parent", "weight", "path",
-    "model", "memory", "memory_lb", "strategy", "workers", "priority", "evict", "cost",
-    "backfill_depth", "residency", "evict_seed", "page_size", "disk_latency", "disk_bandwidth",
-    "write_queue_depth", "prefetch_window"};
-
-bool key_is_known(const std::string& key) {
-  return std::find(kFields.begin(), kFields.end(), key) != kFields.end();
-}
-
-[[noreturn]] void unknown_key(const std::string& key) {
-  std::string fields;
-  for (const std::string_view field : kFields) {
-    if (!fields.empty()) fields += ", ";
-    fields += field;
-  }
-  throw std::runtime_error("unknown request field '" + key + "' (" + fields + ")");
-}
+// The request field table shared by the JSONL and CSV decoders.
 
 /// The replay knobs a request starts from. Three serving defaults differ
 /// from ParallelConfig's: workers = 0 means "no replay" until the request
@@ -212,147 +184,221 @@ parallel::ParallelConfig serving_replay_defaults() {
   return pc;
 }
 
-/// Tracks which fields were given so source inference and replay gating
-/// can run after all assignments.
+/// The request being decoded plus what inference and replay gating need
+/// once every field is assigned.
 struct DecodeState {
   PlanRequest request;
   bool has_source = false;
-  bool has_id = false;
   bool has_replay_field = false;  ///< any replay knob short of workers itself
   parallel::ParallelConfig replay = serving_replay_defaults();
 };
 
-core::MemoryModel model_from_name(const std::string& name) {
+/// The tokens of one value: a CSV cell, a JSON string, number or boolean,
+/// or the elements of a JSON array.
+using Tokens = std::span<const std::string_view>;
+
+struct Field {
+  std::string_view name;
+  FieldRole role;
+  FieldKind kind;
+  std::int64_t lo;
+  std::int64_t hi;
+  void (*set)(DecodeState&, const Field&, Tokens);
+};
+
+void parse_name(const std::string& s, TreeSource& out) { out = tree_source_from_name(s); }
+void parse_name(const std::string& s, core::Strategy& out) { out = core::strategy_from_name(s); }
+void parse_name(const std::string& s, parallel::Priority& out) { out = priority_from_name(s); }
+void parse_name(const std::string& s, parallel::CostModel& out) { out = cost_model_from_name(s); }
+void parse_name(const std::string& s, core::EvictionPolicy& out) {
+  out = core::eviction_policy_from_name(s);
+}
+void parse_name(const std::string& name, core::MemoryModel& out) {
   const std::string s = util::to_lower(name);
-  if (s == "max" || s == "maxinout") return core::MemoryModel::kMaxInOut;
-  if (s == "sum" || s == "suminout") return core::MemoryModel::kSumInOut;
-  throw std::runtime_error("unknown memory model '" + name + "' (max | sum)");
+  if (s != "max" && s != "maxinout" && s != "sum" && s != "suminout")
+    throw std::runtime_error("unknown memory model '" + name + "' (max | sum)");
+  out = s[0] == 'm' ? core::MemoryModel::kMaxInOut : core::MemoryModel::kSumInOut;
 }
 
-bool bool_from_cell(const std::string& key, const std::string& value) {
-  const std::string s = util::to_lower(value);
+[[noreturn]] void bad_value(const Field& field, std::string_view text, const std::string& why) {
+  throw std::runtime_error("field '" + std::string(field.name) + "': '" + std::string(text) +
+                           "' " + why);
+}
+
+std::int64_t parse_integer(const Field& field, std::string_view text) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::result_out_of_range) bad_value(field, text, "is beyond the int64 range");
+  if (ec != std::errc{} || ptr != end) bad_value(field, text, "is not a decimal integer");
+  if (v < field.lo)
+    bad_value(field, text,
+              field.lo == 1 ? "must be positive" : "must be >= " + std::to_string(field.lo));
+  if (v > field.hi) bad_value(field, text, "must be <= " + std::to_string(field.hi));
+  return v;
+}
+
+double parse_real(const Field& field, std::string_view text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v))
+    bad_value(field, text, "is not a finite decimal number");
+  if (field.lo == 0 && v < 0) bad_value(field, text, "must be >= 0");
+  return v;
+}
+
+bool parse_bool(const Field& field, std::string_view text) {
+  const std::string s = util::to_lower(std::string(text));
   if (s == "1" || s == "true") return true;
-  if (s == "0" || s == "false") return false;
-  throw std::runtime_error("field '" + key + "': expected a boolean, got '" + value + "'");
+  if (s != "0" && s != "false") bad_value(field, text, "is not a boolean");
+  return false;
 }
 
-void assign_string(DecodeState& state, const std::string& key, const std::string& value) {
-  if (key == "source") {
-    state.request.source = tree_source_from_name(value);
-    state.has_source = true;
-  } else if (key == "tenant") {
-    state.request.tenant = value;
-  } else if (key == "path") {
-    state.request.path = value;
-  } else if (key == "model") {
-    state.request.model = model_from_name(value);
-  } else if (key == "strategy") {
-    state.request.strategy = core::strategy_from_name(value);
-  } else if (key == "priority") {
-    state.replay.priority = priority_from_name(value);
-    state.has_replay_field = true;
-  } else if (key == "evict") {
-    state.replay.evict = core::eviction_policy_from_name(value);
-    state.has_replay_field = true;
-  } else if (key == "cost") {
-    state.replay.cost = cost_model_from_name(value);
-    state.has_replay_field = true;
+/// Parses a value into its member by the member's type.
+template <typename T>
+void parse_into(const Field& field, Tokens tokens, T& out) {
+  const std::string_view text = tokens.empty() ? std::string_view{} : tokens.front();
+  if constexpr (std::is_same_v<T, bool>) {
+    out = parse_bool(field, text);
+  } else if constexpr (std::is_integral_v<T>) {
+    out = static_cast<T>(parse_integer(field, text));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out = parse_real(field, text);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_enum_v<T>) {
+    parse_name(std::string(text), out);
   } else {
-    unknown_key(key);
+    out.clear();
+    out.reserve(tokens.size());
+    for (const std::string_view token : tokens)
+      out.push_back(static_cast<typename T::value_type>(parse_integer(field, token)));
   }
 }
 
-void assign_number(DecodeState& state, const std::string& key, std::int64_t integer,
-                   double number, bool is_integer) {
-  const auto require_int = [&]() {
-    if (!is_integer)
-      throw std::runtime_error("field '" + key + "' must be an integer");
-    return integer;
-  };
-  // The replay knobs are ints in ParallelConfig: a value past INT_MAX is an
-  // error, not a silently truncated knob.
-  const auto require_knob = [&]() {
-    const std::int64_t v = require_int();
-    if (v < 0) throw std::runtime_error("'" + key + "' must be >= 0");
-    if (v > std::numeric_limits<int>::max())
-      throw std::runtime_error("'" + key + "' must be <= " +
-                               std::to_string(std::numeric_limits<int>::max()));
-    return static_cast<int>(v);
-  };
-  if (key == "id") {
-    state.request.id = require_int();
-    state.has_id = true;
-  } else if (key == "nodes") {
+template <typename M> struct MemberOf;
+template <typename T, typename C> struct MemberOf<T C::*> { using Type = T; using Class = C; };
+template <typename T> struct ElementOf { using Type = T; };
+template <typename T> struct ElementOf<std::vector<T>> { using Type = T; };
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+/// The entry of a field stored in a PlanRequest or replay ParallelConfig
+/// member. The kind follows the member's type, and integer bounds are
+/// clipped to what the member (or array element) holds, so no value is
+/// silently truncated: an int knob past INT_MAX is an error.
+template <auto Member>
+constexpr Field field(std::string_view name, FieldRole role, std::int64_t lo = kMin,
+                      std::int64_t hi = kMax) {
+  using T = typename MemberOf<decltype(Member)>::Type;
+  using Element = typename ElementOf<T>::Type;
+  if constexpr (std::is_integral_v<Element> && sizeof(Element) < sizeof(std::int64_t)) {
+    lo = std::max<std::int64_t>(lo, std::numeric_limits<Element>::min());
+    hi = std::min<std::int64_t>(hi, std::numeric_limits<Element>::max());
+  }
+  const FieldKind kind = std::is_same_v<T, bool>                                ? kBool
+                         : std::is_integral_v<T>                                ? kInteger
+                         : std::is_floating_point_v<T>                          ? kReal
+                         : std::is_same_v<T, std::string> || std::is_enum_v<T> ? kName
+                                                                                : kArray;
+  return {name, role, kind, lo, hi, [](DecodeState& s, const Field& f, Tokens tokens) {
+            if constexpr (std::is_same_v<typename MemberOf<decltype(Member)>::Class, PlanRequest>)
+              parse_into(f, tokens, s.request.*Member);
+            else
+              parse_into(f, tokens, s.replay.*Member);
+          }};
+}
+
+/// The key that enables the replay block; every other kReplay field needs it.
+constexpr std::string_view kWorkers = "workers";
+
+using enum FieldRole;
+using R = PlanRequest;
+using P = parallel::ParallelConfig;
+
+/// Every request field, in the order the unknown-field error lists them.
+/// The fingerprints in request.cpp mix these by hand; the role says which
+/// keys a field must reach (tests/test_request_fields.cpp checks each).
+constexpr Field kFields[] = {
+    // Routing only while `seed` is set; with seed 0 it salts the derived stream.
+    field<&R::id>("id", kRouting),
+    field<&R::tenant>("tenant", kRouting),
+    {"source", kTree, kName, 0, 0,
+     [](DecodeState& s, const Field& f, Tokens tokens) {
+       parse_into(f, tokens, s.request.source);
+       s.has_source = true;
+     }},
     // Node ids are core::NodeId: a larger tree could not be indexed.
-    const std::int64_t v = require_int();
-    if (v <= 0) throw std::runtime_error("'nodes' must be positive");
-    if (v > std::numeric_limits<core::NodeId>::max())
-      throw std::runtime_error("'nodes' must be <= " +
-                               std::to_string(std::numeric_limits<core::NodeId>::max()));
-    state.request.nodes = static_cast<std::size_t>(v);
-  } else if (key == "w_lo") {
-    state.request.w_lo = require_int();
-  } else if (key == "w_hi") {
-    state.request.w_hi = require_int();
-  } else if (key == "seed") {
-    state.request.seed = static_cast<std::uint64_t>(require_int());
-  } else if (key == "memory") {
-    state.request.memory = require_int();
-  } else if (key == "memory_lb") {
-    state.request.memory_lb = number;
-  } else if (key == "workers") {
-    state.replay.workers = require_knob();
-  } else if (key == "backfill_depth") {
-    state.replay.backfill_depth = require_knob();
-    state.has_replay_field = true;
-  } else if (key == "disk_latency") {
-    if (number < 0) throw std::runtime_error("'disk_latency' must be >= 0");
-    state.request.disk_latency = number;
-    state.has_replay_field = true;
-  } else if (key == "disk_bandwidth") {
-    if (number < 0) throw std::runtime_error("'disk_bandwidth' must be >= 0");
-    state.request.disk_bandwidth = number;
-    state.has_replay_field = true;
-  } else if (key == "write_queue_depth") {
-    state.replay.write_queue_depth = require_knob();
-    state.has_replay_field = true;
-  } else if (key == "prefetch_window") {
-    state.replay.prefetch_window = require_knob();
-    state.has_replay_field = true;
-  } else if (key == "evict_seed") {
-    state.replay.seed = static_cast<std::uint64_t>(require_int());
-    state.has_replay_field = true;
-  } else if (key == "page_size") {
-    const std::int64_t v = require_int();
-    if (v <= 0) throw std::runtime_error("'page_size' must be positive");
-    state.request.page_size = v;
-    state.has_replay_field = true;
-  } else {
-    unknown_key(key);
+    field<&R::nodes>("nodes", kTree, 1, std::numeric_limits<core::NodeId>::max()),
+    field<&R::w_lo>("w_lo", kTree),
+    field<&R::w_hi>("w_hi", kTree),
+    field<&R::seed>("seed", kTree),
+    field<&R::parent>("parent", kTree),
+    field<&R::weight>("weight", kTree),
+    field<&R::path>("path", kTree),
+    field<&R::model>("model", kTree),
+    field<&R::memory>("memory", kParams),
+    field<&R::memory_lb>("memory_lb", kParams),
+    field<&R::strategy>("strategy", kParams),
+    field<&P::workers>(kWorkers, kReplay, 0),
+    field<&P::priority>("priority", kReplay),
+    field<&P::evict>("evict", kReplay),
+    field<&P::cost>("cost", kReplay),
+    field<&P::backfill_depth>("backfill_depth", kReplay, 0),
+    field<&P::residency_aware>("residency", kReplay),
+    field<&P::seed>("evict_seed", kReplay),
+    field<&R::page_size>("page_size", kReplay, 1),
+    field<&R::disk_latency>("disk_latency", kReplay, 0),
+    field<&R::disk_bandwidth>("disk_bandwidth", kReplay, 0),
+    field<&P::write_queue_depth>("write_queue_depth", kReplay, 0),
+    field<&P::prefetch_window>("prefetch_window", kReplay, 0),
+};
+
+/// The names of the fields matching `keep`, joined by `separator`.
+template <typename Predicate>
+std::string join_names(const char* separator, Predicate keep) {
+  std::string out;
+  for (const Field& field : kFields) {
+    if (!keep(field)) continue;
+    if (!out.empty()) out += separator;
+    out += field.name;
   }
+  return out;
+}
+
+[[noreturn]] void unknown_field(std::string_view key) {
+  throw std::runtime_error("unknown request field '" + std::string(key) + "' (" +
+                           join_names(", ", [](const Field&) { return true; }) + ")");
+}
+
+const Field& field_named(std::string_view key) {
+  for (const Field& field : kFields)
+    if (field.name == key) return field;
+  unknown_field(key);
+}
+
+void assign(DecodeState& state, const Field& field, Tokens tokens) {
+  field.set(state, field, tokens);
+  if (field.role == kReplay && field.name != kWorkers) state.has_replay_field = true;
 }
 
 /// Applies inference and the replay block, yielding the final request.
-PlanRequest finish(DecodeState&& state, std::int64_t fallback_id) {
+PlanRequest finish(DecodeState&& state) {
   PlanRequest& request = state.request;
-  if (!state.has_id) request.id = fallback_id;
   if (!state.has_source) {
     if (!request.path.empty()) {
-      const auto has_ext = [&](const char* ext, std::size_t len) {
-        return request.path.size() >= len &&
-               request.path.compare(request.path.size() - len, len, ext) == 0;
-      };
-      request.source = has_ext(".mtx", 4)     ? TreeSource::kMatrixMarket
-                       : has_ext(".otree", 6) ? TreeSource::kSnapshot
-                                              : TreeSource::kTreeFile;
+      request.source = request.path.ends_with(".mtx")     ? TreeSource::kMatrixMarket
+                       : request.path.ends_with(".otree") ? TreeSource::kSnapshot
+                                                          : TreeSource::kTreeFile;
     } else if (!request.parent.empty()) {
       request.source = TreeSource::kParents;
     } else {
       request.source = TreeSource::kSynth;
     }
   }
-  if ((request.source == TreeSource::kTreeFile || request.source == TreeSource::kMatrixMarket ||
-       request.source == TreeSource::kSnapshot) &&
+  if (request.source != TreeSource::kSynth && request.source != TreeSource::kParents &&
       request.path.empty())
     throw std::runtime_error("file-based request needs a 'path'");
   if (request.source == TreeSource::kParents && request.parent.size() != request.weight.size())
@@ -363,9 +409,9 @@ PlanRequest finish(DecodeState&& state, std::int64_t fallback_id) {
     // Silently dropping the replay block would report sequential-only
     // stats for a request that asked for a parallel evaluation.
     throw std::runtime_error(
-        "replay fields (priority/evict/cost/backfill_depth/residency/evict_seed/page_size/"
-        "disk_latency/disk_bandwidth/write_queue_depth/prefetch_window) require "
-        "'workers' > 0");
+        "replay fields (" +
+        join_names("/", [](const Field& f) { return f.role == kReplay && f.name != kWorkers; }) +
+        ") require '" + std::string(kWorkers) + "' > 0");
   }
   return std::move(request);
 }
@@ -401,48 +447,29 @@ std::vector<std::string> split_csv_row(const std::string& line) {
   return cells;
 }
 
-bool csv_key_is_numeric(const std::string& key) {
-  return key == "id" || key == "nodes" || key == "w_lo" || key == "w_hi" || key == "seed" ||
-         key == "memory" || key == "memory_lb" || key == "workers" || key == "evict_seed" ||
-         key == "page_size" || key == "backfill_depth" || key == "disk_latency" ||
-         key == "disk_bandwidth" || key == "write_queue_depth" || key == "prefetch_window";
-}
-
 }  // namespace
+
+std::vector<RequestField> request_fields() {
+  std::vector<RequestField> out;
+  for (const Field& field : kFields) out.push_back({field.name, field.role});
+  return out;
+}
 
 PlanRequest request_from_json(const std::string& line, std::int64_t fallback_id) {
   DecodeState state;
+  state.request.id = fallback_id;  // an "id" key overrides it
   JsonScanner scanner(line);
-  scanner.parse_object([&](const std::string& key, const JsonValue& value) {
-    switch (value.kind) {
-      case JsonValue::Kind::kString:
-        assign_string(state, key, value.str);
-        break;
-      case JsonValue::Kind::kNumber:
-        assign_number(state, key, value.integer, value.number, value.is_integer);
-        break;
-      case JsonValue::Kind::kBool:
-        if (key == "residency") {
-          state.replay.residency_aware = value.boolean;
-          state.has_replay_field = true;
-        } else if (key_is_known(key)) {
-          throw std::runtime_error("field '" + key + "' cannot be a boolean");
-        } else {
-          unknown_key(key);
-        }
-        break;
-      case JsonValue::Kind::kArray:
-        if (key == "parent") {
-          state.request.parent.assign(value.array.begin(), value.array.end());
-        } else if (key == "weight") {
-          state.request.weight.assign(value.array.begin(), value.array.end());
-        } else {
-          throw std::runtime_error("field '" + key + "' cannot be an array");
-        }
-        break;
-    }
+  scanner.parse_object([&](const std::string& key, const JsonValue& json) {
+    // Indexed by the JSON value's FieldKind (a number scans as kReal).
+    static constexpr const char* kSpelled[] = {"", "a number", "a string", "a boolean", "an array"};
+    const Field& field = field_named(key);
+    if (json.kind != field.kind && !(json.kind == kReal && field.kind == kInteger))
+      throw std::runtime_error("field '" + key + "' cannot be " +
+                               kSpelled[static_cast<int>(json.kind)]);
+    const std::string_view text = json.str;
+    assign(state, field, json.kind == kName ? Tokens(&text, 1) : Tokens(json.tokens));
   });
-  return finish(std::move(state), fallback_id);
+  return finish(std::move(state));
 }
 
 std::vector<PlanRequest> read_requests_jsonl(std::istream& in) {
@@ -464,17 +491,17 @@ std::vector<PlanRequest> read_requests_jsonl(std::istream& in) {
 std::vector<PlanRequest> read_requests_csv(std::istream& in) {
   std::vector<PlanRequest> requests;
   std::string line;
-  std::vector<std::string> header;
+  std::vector<const Field*> header;
   std::int64_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (blank_or_comment(line)) continue;
     if (header.empty()) {
-      header = split_csv_row(line);
-      for (const std::string& key : header) {
-        // Validate the header eagerly so a typo fails before row 1. The
-        // parent/weight arrays are JSONL-only.
-        if (!key_is_known(key) || key == "parent" || key == "weight") unknown_key(key);
+      for (const std::string& key : split_csv_row(line)) {
+        // Validate the header eagerly so a typo fails before row 1. Arrays
+        // are JSONL-only.
+        header.push_back(&field_named(key));
+        if (header.back()->kind == kArray) unknown_field(key);
       }
       continue;
     }
@@ -485,25 +512,13 @@ std::vector<PlanRequest> read_requests_csv(std::istream& in) {
                                std::to_string(cells.size()));
     try {
       DecodeState state;
+      state.request.id = static_cast<std::int64_t>(requests.size()) + 1;
       for (std::size_t k = 0; k < header.size(); ++k) {
-        const std::string& key = header[k];
-        const std::string& cell = cells[k];
-        if (cell.empty()) continue;  // keep the field's default
-        if (key == "residency") {
-          state.replay.residency_aware = bool_from_cell(key, cell);
-          state.has_replay_field = true;
-        } else if (csv_key_is_numeric(key)) {
-          std::size_t consumed = 0;
-          const double number = std::stod(cell, &consumed);
-          if (consumed != cell.size())
-            throw std::runtime_error("field '" + key + "': malformed number '" + cell + "'");
-          const bool is_integer = cell.find_first_of(".eE") == std::string::npos;
-          assign_number(state, key, is_integer ? std::stoll(cell) : 0, number, is_integer);
-        } else {
-          assign_string(state, key, cell);
-        }
+        if (cells[k].empty()) continue;  // keep the field's default
+        const std::string_view cell = cells[k];
+        assign(state, *header[k], Tokens(&cell, 1));
       }
-      requests.push_back(finish(std::move(state), static_cast<std::int64_t>(requests.size()) + 1));
+      requests.push_back(finish(std::move(state)));
     } catch (const std::exception& e) {
       throw std::runtime_error("line " + std::to_string(line_number) + ": " + e.what());
     }

@@ -2,12 +2,12 @@
 //
 // JSONL: one flat JSON object per line ('#' comments and blank lines are
 // skipped). Keys — all optional, unknown keys rejected:
-//   id, source ("synth" | "parents" | "tree" | "mtx"),
+//   id, source ("synth" | "parents" | "tree" | "mtx" | "snapshot"),
 //   tenant                            (fair-scheduling key of the server;
 //                                      routing metadata, never cached on)
 //   nodes, w_lo, w_hi, seed           (synth generator spec)
 //   parent [..], weight [..]          (inline parent-vector tree)
-//   path                              (tree / mtx file sources)
+//   path                              (tree / mtx / snapshot file sources)
 //   model ("max" | "sum"),
 //   memory, memory_lb, strategy ("postorder" | "optminmem" | "recexpand" |
 //   "full"), and the parallel replay block: workers (> 0 enables the
@@ -20,27 +20,47 @@
 //   requires page_size), write_queue_depth / prefetch_window (disk
 //   pipeline).
 // When "source" is absent it is inferred: a "path" ending in .mtx means
-// mtx, any other path means tree, a "parent" array means parents,
-// otherwise synth. When "id" is absent the 1-based line ordinal (JSONL) or
-// data-row ordinal (CSV) is used.
+// mtx, one ending in .otree means snapshot, any other path means tree, a
+// "parent" array means parents, otherwise synth. When "id" is absent the
+// 1-based line ordinal (JSONL) or data-row ordinal (CSV) is used.
 //
 // CSV: a header row naming a subset of the scalar keys above (parent/
 // weight arrays are JSONL-only), then one request per row; empty cells
 // keep the field's default. The same inference rules apply.
 //
-// The parser is deliberately minimal — flat objects, numbers, strings,
-// booleans and integer arrays — so the service has no dependency beyond
-// the standard library. Malformed input throws std::runtime_error with a
-// line number.
+// Numbers are strict decimals, parsed once by the field's kind: integers
+// must fit int64 and the field's range, reals must be finite. The parser
+// is deliberately minimal — flat objects, numbers, strings, booleans and
+// integer arrays — so the service has no dependency beyond the standard
+// library. Malformed input throws std::runtime_error with a line number.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/service/request.hpp"
 
 namespace ooctree::service {
+
+/// Which cache keys a request field determines. The fingerprints in
+/// request.cpp are hand-written mixes; tests/test_request_fields.cpp
+/// perturbs every field and checks that each mix honours its role.
+enum class FieldRole : std::uint8_t {
+  kRouting,  ///< no key: tenant, and id while seed is set
+  kTree,     ///< the materialized tree: spec key, canonical tree hash, tree_identity
+  kParams,   ///< memory bound and strategy: spec key and params_fingerprint
+  kReplay,   ///< the replay block: spec key and params_fingerprint; needs workers > 0
+};
+
+struct RequestField {
+  std::string_view name;
+  FieldRole role;
+};
+
+/// Every request key with its role, in the decoder's table order.
+[[nodiscard]] std::vector<RequestField> request_fields();
 
 /// Batch file format selector; kAuto sniffs JSONL by a leading '{'.
 enum class BatchFormat : std::uint8_t { kAuto, kJsonl, kCsv };

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
+#include <type_traits>
 
 #include "src/core/check.hpp"
 
@@ -38,81 +40,68 @@ void put_bytes(std::ostream& os, const void* p, std::size_t n) {
   os.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
 }
 
-template <typename T>
-void put_pod(std::ostream& os, const T& v) {
-  put_bytes(os, &v, sizeof v);
-}
-
-void put_string(std::ostream& os, const std::string& s) {
-  put_pod(os, static_cast<std::uint64_t>(s.size()));
-  put_bytes(os, s.data(), s.size());
-}
-
-template <typename T>
-void put_vector(std::ostream& os, const std::vector<T>& v) {
-  put_pod(os, static_cast<std::uint64_t>(v.size()));
-  put_bytes(os, v.data(), sizeof(T) * v.size());
-}
-
 bool get_bytes(std::istream& is, void* p, std::size_t n) {
   is.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
   return static_cast<bool>(is);
 }
 
+/// On-disk type of a scalar member: bool as u8, enums as u32, size_t as
+/// u64, everything else as itself. Strings and vectors are a u64
+/// length followed by their bytes.
 template <typename T>
-bool get_pod(std::istream& is, T& v) {
-  return get_bytes(is, &v, sizeof v);
-}
-
-bool get_string(std::istream& is, std::string& s) {
-  std::uint64_t n = 0;
-  if (!get_pod(is, n) || n > (1ULL << 32)) return false;
-  s.resize(static_cast<std::size_t>(n));
-  return n == 0 || get_bytes(is, s.data(), s.size());
-}
+using Wire = std::conditional_t<
+    std::is_same_v<T, bool>, std::uint8_t,
+    std::conditional_t<std::is_enum_v<T>, std::uint32_t,
+                       std::conditional_t<std::is_same_v<T, std::size_t>, std::uint64_t, T>>>;
 
 template <typename T>
-bool get_vector(std::istream& is, std::vector<T>& v) {
-  std::uint64_t n = 0;
-  if (!get_pod(is, n) || n > (1ULL << 32)) return false;
-  v.resize(static_cast<std::size_t>(n));
-  return n == 0 || get_bytes(is, v.data(), sizeof(T) * v.size());
+concept Sequence = requires(T& t) {
+  t.data();
+  t.resize(0);
+};
+
+/// Enum members are range-checked on read: serving an out-of-range value
+/// would throw when the response is printed.
+bool in_range(core::Strategy s) {
+  const std::vector<core::Strategy> all = core::all_strategies();
+  return std::find(all.begin(), all.end(), s) != all.end();
+}
+
+template <typename T>
+void put_field(std::ostream& os, const T& v) {
+  if constexpr (Sequence<T>) {
+    put_field(os, static_cast<std::uint64_t>(v.size()));
+    put_bytes(os, v.data(), sizeof(*v.data()) * v.size());
+  } else {
+    const auto wire = static_cast<Wire<T>>(v);
+    put_bytes(os, &wire, sizeof wire);
+  }
+}
+
+template <typename T>
+bool get_field(std::istream& is, T& v) {
+  if constexpr (Sequence<T>) {
+    // Capped so a corrupt length cannot demand an absurd allocation.
+    std::uint64_t n = 0;
+    if (!get_field(is, n) || n > (1ULL << 32)) return false;
+    v.resize(static_cast<std::size_t>(n));
+    return n == 0 || get_bytes(is, v.data(), sizeof(*v.data()) * v.size());
+  } else {
+    Wire<T> wire{};
+    if (!get_bytes(is, &wire, sizeof wire)) return false;
+    v = static_cast<T>(wire);
+    if constexpr (std::is_enum_v<T>) return in_range(v);
+    return true;
+  }
 }
 
 void write_plan_file(std::ostream& os, const CacheKey& key, const PlanStats& s) {
   put_bytes(os, kPlanMagic, sizeof kPlanMagic);
-  put_pod(os, kPlanVersion);
-  put_pod(os, std::uint32_t{0});  // reserved
-  put_pod(os, key.tree);
-  put_pod(os, key.params);
-  put_pod(os, static_cast<std::uint8_t>(s.ok));
-  put_string(os, s.error);
-  put_pod(os, static_cast<std::uint64_t>(s.nodes));
-  put_pod(os, s.tree_hash);
-  put_pod(os, s.total_weight);
-  put_pod(os, s.lb);
-  put_pod(os, s.memory);
-  put_pod(os, static_cast<std::uint32_t>(s.strategy));
-  put_vector(os, s.schedule);
-  put_vector(os, s.io);
-  put_pod(os, s.io_volume);
-  put_pod(os, s.peak_resident);
-  put_pod(os, s.evictions);
-  put_pod(os, static_cast<std::uint8_t>(s.replayed));
-  put_pod(os, static_cast<std::uint8_t>(s.replay_feasible));
-  put_pod(os, s.workers);
-  put_pod(os, s.makespan);
-  put_pod(os, s.parallel_io);
-  put_pod(os, s.utilization);
-  put_pod(os, s.failed_starts);
-  put_pod(os, s.page_size);
-  put_pod(os, s.pages_written);
-  put_pod(os, s.pages_read);
-  put_pod(os, s.read_stall);
-  put_pod(os, s.write_stall);
-  put_pod(os, s.prefetch_issued);
-  put_pod(os, s.prefetch_useful);
-  put_pod(os, s.prefetch_wasted);
+  put_field(os, kPlanVersion);
+  put_field(os, std::uint32_t{0});  // reserved
+  put_field(os, key.tree);
+  put_field(os, key.params);
+  std::apply([&](auto... member) { (put_field(os, s.*member), ...); }, kPlanStatsFields);
 }
 
 bool read_plan_file(std::istream& is, CacheKey& key, PlanStats& s) {
@@ -121,31 +110,13 @@ bool read_plan_file(std::istream& is, CacheKey& key, PlanStats& s) {
   std::uint32_t reserved = 0;
   if (!get_bytes(is, magic, sizeof magic) || std::memcmp(magic, kPlanMagic, sizeof magic) != 0)
     return false;
-  if (!get_pod(is, version) || version != kPlanVersion || !get_pod(is, reserved)) return false;
-  std::uint8_t ok = 0;
-  std::uint8_t replayed = 0;
-  std::uint8_t replay_feasible = 0;
-  std::uint64_t nodes = 0;
-  std::uint32_t strategy = 0;
-  const bool good = get_pod(is, key.tree) && get_pod(is, key.params) && get_pod(is, ok) &&
-                    get_string(is, s.error) && get_pod(is, nodes) && get_pod(is, s.tree_hash) &&
-                    get_pod(is, s.total_weight) && get_pod(is, s.lb) && get_pod(is, s.memory) &&
-                    get_pod(is, strategy) && get_vector(is, s.schedule) && get_vector(is, s.io) &&
-                    get_pod(is, s.io_volume) && get_pod(is, s.peak_resident) &&
-                    get_pod(is, s.evictions) && get_pod(is, replayed) &&
-                    get_pod(is, replay_feasible) && get_pod(is, s.workers) &&
-                    get_pod(is, s.makespan) && get_pod(is, s.parallel_io) &&
-                    get_pod(is, s.utilization) && get_pod(is, s.failed_starts) &&
-                    get_pod(is, s.page_size) && get_pod(is, s.pages_written) &&
-                    get_pod(is, s.pages_read) && get_pod(is, s.read_stall) &&
-                    get_pod(is, s.write_stall) && get_pod(is, s.prefetch_issued) &&
-                    get_pod(is, s.prefetch_useful) && get_pod(is, s.prefetch_wasted);
-  if (!good) return false;
-  s.ok = ok != 0;
-  s.nodes = static_cast<std::size_t>(nodes);
-  s.strategy = static_cast<core::Strategy>(strategy);
-  s.replayed = replayed != 0;
-  s.replay_feasible = replay_feasible != 0;
+  if (!get_field(is, version) || version != kPlanVersion || !get_field(is, reserved)) return false;
+  if (!get_field(is, key.tree) || !get_field(is, key.params)) return false;
+  if (!std::apply([&](auto... member) { return (get_field(is, s.*member) && ...); },
+                  kPlanStatsFields))
+    return false;
+  // An answer schedules every node of its tree; a shorter schedule is corrupt.
+  if (s.ok && s.schedule.size() != s.nodes) return false;
   // Reject trailing garbage: the next read must hit EOF.
   return is.peek() == std::char_traits<char>::eof();
 }

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
 
@@ -208,8 +209,6 @@ TEST(PlanService, UnrepresentableMemoryMultipleFails) {
   // undefined and on x86 used to plan at the tightest bound LB instead.
   std::istringstream jsonl(R"({"id": 1, "nodes": 200, "seed": 5, "memory_lb": 1e300})"
                            "\n"
-                           R"({"id": 2, "nodes": 200, "seed": 5, "memory_lb": 1e400})"
-                           "\n"
                            R"({"id": 3, "nodes": 200, "seed": 5, "memory_lb": 1e15})"
                            "\n");
   std::istringstream csv(
@@ -218,6 +217,15 @@ TEST(PlanService, UnrepresentableMemoryMultipleFails) {
       "5,200,5,1e15\n");
   std::vector<PlanRequest> requests = service::read_requests_jsonl(jsonl);
   for (PlanRequest& r : service::read_requests_csv(csv)) requests.push_back(std::move(r));
+  // 1e400 overflows to infinity: the decoder refuses it, and a request
+  // built in code with an infinite multiple still fails at serve time.
+  EXPECT_THROW((void)service::request_from_json(
+                   R"({"id": 2, "nodes": 200, "seed": 5, "memory_lb": 1e400})"),
+               std::runtime_error);
+  PlanRequest infinite = requests.front();
+  infinite.id = 2;
+  infinite.memory_lb = std::numeric_limits<double>::infinity();
+  requests.insert(requests.begin() + 1, infinite);
   ASSERT_EQ(requests.size(), 5u);
   const auto representable = [](const PlanRequest& r) { return r.memory_lb < 1e16; };
 
@@ -804,6 +812,61 @@ TEST(ResultCache, FlushOnDestroyThenPreload) {
   const auto value = reborn.get(key);
   ASSERT_NE(value, nullptr);
   EXPECT_TRUE(service::identical(*value, *fake_stats(77)));
+}
+
+/// The key a .plan file is stored under, from its "<tree>-<params>.plan" name.
+service::CacheKey key_of_plan_file(const std::filesystem::path& path) {
+  const std::string stem = path.stem().string();
+  return {std::stoull(stem.substr(0, 16), nullptr, 16), std::stoull(stem.substr(17), nullptr, 16)};
+}
+
+// A spilled plan whose strategy is out of the enum's range is a miss: the
+// reborn cache neither preloads nor restores it, and the service plans the
+// request again, identically to the original. Serving it used to abort the
+// whole batch in strategy_name.
+TEST(ResultCache, OutOfRangeStrategyIsRecomputed) {
+  const std::string dir = fresh_persist_dir("plan_cache_bad_strategy");
+  const PlanRequest request = parents_request(test_tree(57), 1);
+  service::PlanStats original;
+  {
+    PlanService first(ServiceConfig{.threads = 1, .persist_dir = dir});
+    const PlanResponse computed = first.plan(request);
+    ASSERT_TRUE(computed.stats->ok) << computed.stats->error;
+    original = *computed.stats;
+  }
+  std::vector<service::CacheKey> keys;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    keys.push_back(key_of_plan_file(entry.path()));
+    std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
+    // magic 8, version 4, reserved 4, key 16, ok 1, empty error 8, then
+    // nodes, tree_hash, total_weight, lb and memory at 8 bytes each.
+    f.seekp(81);
+    const std::uint32_t bad = 99;
+    f.write(reinterpret_cast<const char*>(&bad), sizeof bad);
+  }
+  ASSERT_EQ(keys.size(), 1u);
+  {
+    service::ResultCache reborn(16, 2, dir);
+    EXPECT_EQ(reborn.counters().entries, 0u);
+    EXPECT_EQ(reborn.get(keys.front()), nullptr);
+  }
+  PlanService second(ServiceConfig{.threads = 1, .persist_dir = dir});
+  const PlanResponse replanned = second.plan(request);
+  ASSERT_TRUE(replanned.stats->ok) << replanned.stats->error;
+  EXPECT_EQ(replanned.served, Served::kComputed);
+  EXPECT_TRUE(service::identical(original, *replanned.stats));
+}
+
+// An ok plan must schedule every node of its tree; a file whose schedule
+// length disagrees with `nodes` is a miss.
+TEST(ResultCache, ScheduleShorterThanTreeIsNotServed) {
+  const std::string dir = fresh_persist_dir("plan_cache_short_schedule");
+  auto stats = std::make_shared<service::PlanStats>(*fake_stats(88));
+  stats->nodes = 4;  // the schedule lists 3
+  { service::ResultCache(16, 2, dir).put({88, 1}, stats); }
+  service::ResultCache reborn(16, 2, dir);
+  EXPECT_EQ(reborn.counters().entries, 0u);
+  EXPECT_EQ(reborn.get({88, 1}), nullptr);
 }
 
 // The ISSUE acceptance test: a restarted service with the same persist
