@@ -202,6 +202,9 @@ std::string service_stats_json(const service::ServiceStats& stats) {
   out += ",\"failed\":" + std::to_string(stats.failed);
   out += ",\"cache_hits\":" + std::to_string(stats.cache.hits);
   out += ",\"cache_misses\":" + std::to_string(stats.cache.misses);
+  out += ",\"source_hits\":" + std::to_string(stats.source_hits);
+  out += ",\"source_misses\":" + std::to_string(stats.source_misses);
+  out += ",\"source_bytes\":" + std::to_string(stats.source_bytes);
   out += "}";
   return out;
 }

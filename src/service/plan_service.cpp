@@ -21,6 +21,11 @@ namespace {
 /// a salted splitmix chain and cannot equal this constant by accident.
 constexpr std::uint64_t kFingerprintTag = 0xf19e5f19e5f19e51ULL;
 
+/// Shape bytes the source cache may hold (12 B per node: about 2.8 M
+/// nodes). Not a ServiceConfig knob: cache_capacity == 0 switches it off
+/// with the result cache, and nothing else needs to tune it.
+constexpr std::size_t kSourceCacheBytes = std::size_t{32} << 20;
+
 std::shared_ptr<const PlanStats> error_stats(const std::string& message) {
   auto stats = std::make_shared<PlanStats>();
   stats->ok = false;
@@ -83,6 +88,7 @@ class PlanService::SharedPlanState {
 PlanService::PlanService(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity, config.cache_shards, config.persist_dir),
+      sources_(config.cache_capacity == 0 ? 0 : kSourceCacheBytes),
       pool_(config.threads) {}
 
 std::future<PlanResponse> PlanService::submit(PlanRequest request) {
@@ -158,7 +164,7 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
   // so they materialize bit-identical trees by construction.
   std::optional<core::Tree> tree;
   try {
-    tree.emplace(materialize_tree(requests[pending.front()], seeds[pending.front()]));
+    tree.emplace(materialize(requests[pending.front()], seeds[pending.front()]));
   } catch (const std::exception& e) {
     for (const std::size_t i : pending)
       responses[i] = respond(requests[i], error_stats(e.what()), Served::kFused, watch.seconds());
@@ -234,7 +240,7 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
   }
 
   try {
-    core::Tree tree = materialize_tree(request, seed);
+    core::Tree tree = materialize(request, seed);
     const core::Weight memory = resolve_memory(request, tree);
 
     // Layer 2: canonical key — identical instances from any source collapse.
@@ -304,6 +310,12 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
   } catch (const std::exception& e) {
     return respond(error_stats(e.what()), Served::kComputed);
   }
+}
+
+core::Tree PlanService::materialize(const PlanRequest& request, std::uint64_t seed) {
+  if (is_text_source(request.source))
+    return sources_.tree(request.source, request.path, request.model);
+  return materialize_tree(request, seed);
 }
 
 std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request,
@@ -401,6 +413,7 @@ void PlanService::audit(bool quiescent) const {
       core::audit_check(entry.second.valid(), "PlanService: invalid in-flight future");
   }
   cache_.audit();
+  sources_.audit();
 }
 
 ServiceStats PlanService::stats() const {
@@ -413,6 +426,10 @@ ServiceStats PlanService::stats() const {
   out.fused = fused_.load();
   out.failed = failed_.load();
   out.cache = cache_.counters();
+  const SourceCounters sources = sources_.counters();
+  out.source_hits = sources.hits;
+  out.source_misses = sources.misses;
+  out.source_bytes = sources.bytes;
   return out;
 }
 

@@ -2,8 +2,12 @@
 //
 // The throughput front-end over the paper's algorithms: requests submitted
 // through submit() run on a util::ThreadPool and resolve to
-// std::future<PlanResponse>. Three layers keep repeated instances from
-// recomputing:
+// std::future<PlanResponse>. A source cache and three result layers keep
+// repeated instances from recomputing:
+//   0. source cache — a .tree / .mtx request's file is read once and its
+//      bytes digested; equal bytes rebuild the tree from a cached shape
+//      instead of re-parsing (and, for .mtx, re-ordering and re-assembling)
+//      it (source_cache.hpp);
 //   1. request-fingerprint cache — value-determined requests (generator
 //      specs, inline parent vectors) are answered from their spec digest
 //      without materializing the tree;
@@ -38,6 +42,7 @@
 
 #include "src/service/request.hpp"
 #include "src/service/result_cache.hpp"
+#include "src/service/source_cache.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ooctree::service {
@@ -65,6 +70,9 @@ struct ServiceStats {
   std::uint64_t fused = 0;      ///< computed inside a fused same-tree batch
   std::uint64_t failed = 0;     ///< ok=false responses
   CacheCounters cache;
+  std::uint64_t source_hits = 0;    ///< text path requests rebuilt from a cached shape
+  std::uint64_t source_misses = 0;  ///< text path requests parsed from their bytes
+  std::size_t source_bytes = 0;     ///< shape bytes the source cache holds
 };
 
 /// Asynchronous batched planning front-end. Thread-safe; destruction
@@ -111,7 +119,7 @@ class PlanService {
   /// while requests are in flight: it only asserts the monotone relations
   /// that hold mid-serve (completed <= computed + cached + coalesced +
   /// fused <= submitted, every pending in-flight future valid) plus the
-  /// full ResultCache::audit(). At quiescence (every future resolved) the
+  /// full ResultCache::audit() and SourceCache::audit(). At quiescence (every future resolved) the
   /// in-flight table must be empty — pass `quiescent = true` to assert
   /// that and the exact completed == served-class balance.
   void audit(bool quiescent = false) const;
@@ -120,6 +128,8 @@ class PlanService {
   class SharedPlanState;
 
   PlanResponse serve(const PlanRequest& request);
+  /// materialize_tree, with text path sources served through sources_.
+  [[nodiscard]] core::Tree materialize(const PlanRequest& request, std::uint64_t seed);
   void serve_group(const std::vector<PlanRequest>& requests,
                    const std::vector<std::size_t>& members,
                    const std::vector<std::uint64_t>& seeds,
@@ -138,6 +148,7 @@ class PlanService {
 
   ServiceConfig config_;
   ResultCache cache_;
+  SourceCache sources_;
 
   /// Canonical keys currently being computed; waiters share the leader's
   /// eventual PlanStats through a shared_future. Mutable so the const

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "src/core/snapshot.hpp"
@@ -151,15 +153,41 @@ core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed) {
       case TreeSource::kParents:
         return core::Tree::from_parents(request.parent, request.weight, request.model);
       case TreeSource::kTreeFile:
-        return core::load_tree(request.path);
       case TreeSource::kMatrixMarket:
-        return sparse::mtx_assembly_tree(sparse::load_matrix_market(request.path));
+        return tree_from_bytes(request.source, read_source_file(request.source, request.path),
+                               request.model);
       case TreeSource::kSnapshot:
         return core::load_snapshot(request.path);
     }
     throw std::invalid_argument("materialize_tree: unknown source");
   }();
   if (tree.memory_model() != request.model) tree = tree.with_memory_model(request.model);
+  return tree;
+}
+
+bool is_text_source(TreeSource source) {
+  return source == TreeSource::kTreeFile || source == TreeSource::kMatrixMarket;
+}
+
+std::string read_source_file(TreeSource source, const std::string& path) {
+  if (!is_text_source(source)) throw std::invalid_argument("read_source_file: not a text source");
+  std::ifstream in(path, std::ios::binary);
+  if (!in)
+    throw std::runtime_error(
+        (source == TreeSource::kTreeFile ? "load_tree" : "load_matrix_market") +
+        std::string(": cannot open ") + path);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();  // an empty file leaves `bytes` empty; the parsers report it
+  return std::move(bytes).str();
+}
+
+core::Tree tree_from_bytes(TreeSource source, std::string bytes, core::MemoryModel model) {
+  if (!is_text_source(source)) throw std::invalid_argument("tree_from_bytes: not a text source");
+  std::istringstream in(std::move(bytes));
+  core::Tree tree = source == TreeSource::kTreeFile
+                        ? core::read_tree(in)
+                        : sparse::mtx_assembly_tree(sparse::read_matrix_market(in));
+  if (tree.memory_model() != model) tree = tree.with_memory_model(model);
   return tree;
 }
 

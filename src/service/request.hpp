@@ -191,6 +191,25 @@ struct PlanResponse {
 /// std::invalid_argument on bad specs or unreadable files.
 [[nodiscard]] core::Tree materialize_tree(const PlanRequest& request, std::uint64_t seed);
 
+/// True for the text path sources (kTreeFile, kMatrixMarket): the ones
+/// materialized by parsing a file's bytes, which read_source_file and
+/// tree_from_bytes serve.
+[[nodiscard]] bool is_text_source(TreeSource source);
+
+/// The whole content of a text path source's file. Throws
+/// std::runtime_error "load_tree: cannot open <path>" or
+/// "load_matrix_market: cannot open <path>", the texts core::load_tree and
+/// sparse::load_matrix_market give.
+[[nodiscard]] std::string read_source_file(TreeSource source, const std::string& path);
+
+/// The tree a text path source's bytes describe, under `model`: read_tree
+/// for kTreeFile, read_matrix_market + mtx_assembly_tree for
+/// kMatrixMarket. The one parsing rule for those sources, shared by
+/// materialize_tree and the service's source cache (source_cache.hpp), so
+/// both fail with the parsers' own messages.
+[[nodiscard]] core::Tree tree_from_bytes(TreeSource source, std::string bytes,
+                                         core::MemoryModel model);
+
 /// Resolves the request's memory bound against the materialized tree.
 /// Throws std::invalid_argument when an absolute bound is below LB, when
 /// the multiple is below 1, or when LB × memory_lb is not a finite value

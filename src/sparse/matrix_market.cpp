@@ -33,6 +33,9 @@ SymPattern read_matrix_market(std::istream& in) {
     throw std::runtime_error("matrix market: bad banner");
   if (format != "coordinate")
     throw std::runtime_error("matrix market: only coordinate format supported");
+  if (field != "real" && field != "double" && field != "complex" && field != "integer" &&
+      field != "pattern")
+    throw std::runtime_error("matrix market: unknown field '" + field + "'");
   const bool has_values = field != "pattern";
   const int values_per_entry = (field == "complex") ? 2 : (has_values ? 1 : 0);
   // The symmetry field is part of the banner and must be honored, not
@@ -86,6 +89,10 @@ SymPattern read_matrix_market(std::istream& in) {
           "diagonal)");
     coo.emplace_back(static_cast<Index>(i - 1), static_cast<Index>(j - 1));
   }
+  // The count is exact: a longer body describes a different pattern, so
+  // entries past it are an error, not something to drop.
+  if (!(in >> std::ws).eof())
+    throw std::runtime_error("matrix market: more entries than the size line declares");
   // Declared-symmetric files expand their stored triangle; `general` files
   // are structurally symmetrized (i,j) | (j,i) — the explicit policy for
   // feeding unsymmetric patterns into the symmetric multifrontal pipeline.

@@ -2,13 +2,15 @@
 //
 // The TREES dataset was built by the paper's authors from University of
 // Florida collection matrices, which ship in this format. The reader
-// accepts coordinate-format files (pattern / real / integer / complex) and
-// honors the banner's symmetry field: symmetric / skew-symmetric /
-// hermitian files must store the lower triangle (upper-triangle entries
-// are rejected as malformed) and are expanded, `general` files are
-// explicitly symmetrized structurally, and unknown symmetries are
-// rejected. Blank lines before the size line are skipped per the format
-// specification. The writer makes the synthetic generators exportable.
+// accepts coordinate-format files (pattern / real / double / integer /
+// complex; any other field is rejected) and honors the banner's symmetry
+// field: symmetric / skew-symmetric / hermitian files must store the lower
+// triangle (upper-triangle entries are rejected as malformed) and are
+// expanded, `general` files are explicitly symmetrized structurally, and
+// unknown symmetries are rejected. Blank lines before the size line are
+// skipped per the format specification; the size line's entry count is
+// exact, so a body holding fewer or more entries is rejected. The writer
+// makes the synthetic generators exportable.
 #pragma once
 
 #include <iosfwd>

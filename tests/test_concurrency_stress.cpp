@@ -1,9 +1,9 @@
 // High-contention stress suite — the workload the tsan preset exists for.
 // Every test here drives >= 8 threads into the concurrent production path:
-// PlanService duplicate storms over the three dedup layers, explicit
-// ThreadPool::shutdown() racing a pack of submitters, sharded ResultCache
-// eviction under concurrent hits, and mixed submit/parallel_for traffic on
-// one pool. The sizes are deliberately modest per operation (single-core
+// PlanService duplicate storms over the three dedup layers and the source
+// cache, explicit ThreadPool::shutdown() racing a pack of submitters,
+// sharded ResultCache eviction under concurrent hits, and mixed
+// submit/parallel_for traffic on one pool. The sizes are deliberately modest per operation (single-core
 // CI runners, 5-15x TSan slowdown) but the interleaving count is not: each
 // test performs thousands of lock acquisitions across independent mutexes,
 // which is what ThreadSanitizer needs to explore orderings. The suite also
@@ -17,11 +17,15 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/service/plan_service.hpp"
 #include "src/service/result_cache.hpp"
+#include "src/sparse/generators.hpp"
+#include "src/sparse/matrix_market.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ooctree {
@@ -124,6 +128,73 @@ TEST(ConcurrencyStress, AuditIsSafeWhileRequestsAreInFlight) {
   for (auto& f : futures) (void)f.get();
   done.store(true);
   auditor.join();
+  planner.audit(/*quiescent=*/true);
+}
+
+TEST(ConcurrencyStress, MatrixMarketStormSharesShapesAcrossWorkers) {
+  // 8 workers race over .mtx files through the source cache: three files
+  // requested again and again, a fourth path holding the first one's
+  // bytes, and 16 files requested once. Misses on one content race to
+  // insert its shape; hits race with inserts and with an auditor. Every
+  // answer must match a single-thread cache-less service, which parses
+  // each file afresh.
+  util::Rng rng(77);
+  const auto write = [](const std::string& name, const sparse::SymPattern& pattern) {
+    const std::string path = ::testing::TempDir() + "stress_source_" + name + ".mtx";
+    sparse::save_matrix_market(path, pattern);
+    return path;
+  };
+  std::vector<std::string> shared = {write("grid", sparse::grid2d(8, 8)),
+                                     write("grid9", sparse::grid2d_9pt(6, 6)),
+                                     write("random", sparse::random_symmetric(80, 3.0, rng)),
+                                     write("grid_twin", sparse::grid2d(8, 8))};
+  std::vector<std::string> distinct;
+  for (int f = 0; f < 16; ++f)
+    distinct.push_back(
+        write("distinct" + std::to_string(f), sparse::random_symmetric(40 + f, 3.0, rng)));
+
+  const auto mtx_request = [](std::int64_t id, const std::string& path, int variant) {
+    PlanRequest request;
+    request.id = id;
+    request.source = service::TreeSource::kMatrixMarket;
+    request.path = path;
+    request.model = variant % 2 == 0 ? core::MemoryModel::kMaxInOut : core::MemoryModel::kSumInOut;
+    request.memory_lb = 1.0 + 0.25 * (variant % 3);
+    return request;
+  };
+  std::vector<PlanRequest> batch;
+  for (int repeat = 0; repeat < 24; ++repeat)
+    for (const std::string& path : shared)
+      batch.push_back(mtx_request(static_cast<std::int64_t>(batch.size()), path, repeat));
+  for (const std::string& path : distinct)
+    batch.push_back(mtx_request(static_cast<std::int64_t>(batch.size()), path, 0));
+  const std::vector<PlanRequest> requests = batch;
+
+  PlanService planner(ServiceConfig{.threads = 8});
+  auto futures = planner.submit_batch(std::move(batch));
+  std::atomic<bool> done{false};
+  std::thread auditor([&] {
+    while (!done.load()) planner.audit();
+  });
+  std::vector<PlanResponse> responses;
+  responses.reserve(futures.size());
+  for (auto& f : futures) responses.push_back(f.get());
+  done.store(true);
+  auditor.join();
+
+  PlanService reference(ServiceConfig{.threads = 1, .cache_capacity = 0});
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(responses[i].stats->ok) << responses[i].stats->error;
+    const PlanResponse expect = reference.plan(requests[i]);
+    EXPECT_TRUE(service::identical(*responses[i].stats, *expect.stats)) << requests[i].path;
+  }
+  const auto stats = planner.stats();
+  EXPECT_EQ(stats.source_hits + stats.source_misses, requests.size());
+  // At most one miss per racing worker on each content; at least one per
+  // distinct content (the twin path shares the grid's).
+  EXPECT_GE(stats.source_misses, 3u + distinct.size());
+  EXPECT_LE(stats.source_misses, 8u * 3u + distinct.size());
+  EXPECT_EQ(stats.failed, 0u);
   planner.audit(/*quiescent=*/true);
 }
 

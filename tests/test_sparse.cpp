@@ -345,6 +345,41 @@ TEST(MatrixMarket, HugeEntryCountOnTruncatedBodyFailsAsTruncated) {
       << error;
 }
 
+TEST(MatrixMarket, RejectsUnknownField) {
+  // The field decides how many values follow each index pair; guessing one
+  // for an unknown field misreads the body.
+  const std::string error =
+      matrix_market_error("%%MatrixMarket matrix coordinate banana symmetric\n2 2 1\n2 1 7\n");
+  EXPECT_NE(error.find("matrix market: unknown field 'banana'"), std::string::npos) << error;
+  for (const char* field : {"real", "double", "integer", "pattern"}) {
+    const std::string value = std::string(field) == "pattern" ? "" : " 3";
+    EXPECT_EQ(matrix_market_error(std::string("%%MatrixMarket matrix coordinate ") + field +
+                                  " symmetric\n2 2 1\n2 1" + value + "\n"),
+              "")
+        << field;
+  }
+  EXPECT_EQ(matrix_market_error(
+                "%%MatrixMarket matrix coordinate complex hermitian\n2 2 1\n2 1 1.0 -2.0\n"),
+            "");
+}
+
+TEST(MatrixMarket, RejectsEntriesBeyondTheDeclaredCount) {
+  // "3 3 1" over a 3-entry body used to parse as a 1-edge pattern: a
+  // different matrix, so a different tree, answered as if fine.
+  const std::string error = matrix_market_error(
+      "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n2 1\n3 2\n3 1\n");
+  EXPECT_NE(error.find("matrix market: more entries than the size line declares"),
+            std::string::npos)
+      << error;
+  // Trailing whitespace and a missing final newline are not entries.
+  EXPECT_EQ(matrix_market_error(
+                "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n2 1\n\n  \t\n"),
+            "");
+  EXPECT_EQ(matrix_market_error("%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n2 1 4.5"),
+            "");
+  EXPECT_EQ(matrix_market_error("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 0\n"), "");
+}
+
 TEST(Generators, BorderedBlockDiagonal) {
   util::Rng rng(31);
   const SymPattern p = sparse::bordered_block_diagonal(4, 10, 6, 2, rng);
