@@ -4,6 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/core/expansion.hpp"
 #include "src/core/fif_simulator.hpp"
@@ -15,6 +18,7 @@
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/etree.hpp"
 #include "src/sparse/generators.hpp"
+#include "src/sparse/matrix_market.hpp"
 #include "src/sparse/ordering.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/treegen/shapes.hpp"
@@ -163,14 +167,22 @@ BENCHMARK(BM_EtreeAndCounts)->Arg(64)->Arg(128);
 
 // range(0) picks the pattern family of the end-to-end mtx-order workload
 // (0: 5-pt k x k grid, 1: 9-pt k x k grid, 2: 7-pt k^3 grid, 3: random
-// pattern with k vertices and average degree 4); range(1) is k.
-void BM_MinimumDegree(benchmark::State& state) {
+// pattern with k vertices and average degree 4), or 4: a fill-heavy random
+// pattern with k vertices and average degree 8; range(1) is k.
+sparse::SymPattern md_pattern(const benchmark::State& state) {
   const auto k = static_cast<sparse::Index>(state.range(1));
   util::Rng rng(101);
-  const sparse::SymPattern g = state.range(0) == 0   ? sparse::grid2d(k, k)
-                               : state.range(0) == 1 ? sparse::grid2d_9pt(k, k)
-                               : state.range(0) == 2 ? sparse::grid3d(k, k, k)
-                                                     : sparse::random_symmetric(k, 4.0, rng);
+  switch (state.range(0)) {
+    case 0: return sparse::grid2d(k, k);
+    case 1: return sparse::grid2d_9pt(k, k);
+    case 2: return sparse::grid3d(k, k, k);
+    case 3: return sparse::random_symmetric(k, 4.0, rng);
+    default: return sparse::random_symmetric(k, 8.0, rng);
+  }
+}
+
+void BM_MinimumDegree(benchmark::State& state) {
+  const sparse::SymPattern g = md_pattern(state);
   for (auto _ : state) benchmark::DoNotOptimize(sparse::minimum_degree(g).size());
 }
 BENCHMARK(BM_MinimumDegree)
@@ -179,7 +191,30 @@ BENCHMARK(BM_MinimumDegree)
     ->Args({0, 64})
     ->Args({1, 40})
     ->Args({2, 12})
-    ->Args({3, 1200});
+    ->Args({3, 1200})
+    ->Args({2, 22})
+    ->Args({4, 4000});
+
+// The .mtx bytes of a 56 x 56 5-pt grid (family 0) or of a 1200-vertex
+// random pattern (family 3), parsed into a pattern: the first step of a
+// cold .mtx request.
+void BM_ReadMatrixMarket(benchmark::State& state) {
+  std::ostringstream out;
+  sparse::write_matrix_market(out, md_pattern(state));
+  const std::string bytes = out.str();
+  for (auto _ : state) benchmark::DoNotOptimize(sparse::read_matrix_market(bytes).nnz());
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_ReadMatrixMarket)->ArgNames({"family", "k"})->Args({0, 56})->Args({3, 1200});
+
+// Relabelling a pattern by its minimum-degree order, the step between the
+// ordering and the assembly tree.
+void BM_PatternPermuted(benchmark::State& state) {
+  const sparse::SymPattern g = md_pattern(state);
+  const std::vector<sparse::Index> perm = sparse::minimum_degree(g);
+  for (auto _ : state) benchmark::DoNotOptimize(g.permuted(perm).nnz());
+}
+BENCHMARK(BM_PatternPermuted)->ArgNames({"family", "k"})->Args({0, 56})->Args({3, 1200});
 
 void BM_AssemblyTree(benchmark::State& state) {
   const auto k = static_cast<sparse::Index>(state.range(0));

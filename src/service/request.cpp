@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/core/snapshot.hpp"
 #include "src/core/tree_io.hpp"
@@ -183,10 +184,12 @@ std::string read_source_file(TreeSource source, const std::string& path) {
 
 core::Tree tree_from_bytes(TreeSource source, std::string bytes, core::MemoryModel model) {
   if (!is_text_source(source)) throw std::invalid_argument("tree_from_bytes: not a text source");
-  std::istringstream in(std::move(bytes));
-  core::Tree tree = source == TreeSource::kTreeFile
-                        ? core::read_tree(in)
-                        : sparse::mtx_assembly_tree(sparse::read_matrix_market(in));
+  core::Tree tree = [&] {
+    if (source == TreeSource::kMatrixMarket)
+      return sparse::mtx_assembly_tree(sparse::read_matrix_market(std::string_view(bytes)));
+    std::istringstream in(std::move(bytes));
+    return core::read_tree(in);
+  }();
   if (tree.memory_model() != model) tree = tree.with_memory_model(model);
   return tree;
 }

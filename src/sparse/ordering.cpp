@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/check.hpp"
+
 namespace ooctree::sparse {
 
 namespace {
@@ -99,19 +101,19 @@ std::vector<Index> reverse_cuthill_mckee(const SymPattern& pattern) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimum degree (exact external degree on a flat quotient graph)
+// Minimum degree (lower-bound keys, exact pivots, on a flat quotient graph)
 // ---------------------------------------------------------------------------
 
 namespace {
 
 enum class Kind : std::uint8_t { kVariable, kElement, kDead };
 
-/// Lazy min-heap of (degree, vertex) packed into one key, so the argmin of
-/// (degree, id) is the smallest key. Stale keys are skipped on pop.
+/// Lazy min-heap of (key, vertex) packed into one integer, so the argmin of
+/// (key, id) is the smallest entry. Stale entries are skipped on pop.
 using DegreeHeap = std::priority_queue<std::uint64_t, std::vector<std::uint64_t>, std::greater<>>;
 
-std::uint64_t heap_key(Index degree, Index v) {
-  return (static_cast<std::uint64_t>(degree) << 32) | static_cast<std::uint32_t>(v);
+std::uint64_t heap_key(Index key, Index v) {
+  return (static_cast<std::uint64_t>(key) << 32) | static_cast<std::uint32_t>(v);
 }
 
 /// The quotient graph of a partially eliminated pattern, every list in one
@@ -125,48 +127,67 @@ class QuotientGraph {
  public:
   explicit QuotientGraph(const SymPattern& pattern);
 
-  [[nodiscard]] Index degree(Index v) const { return degree_[uz(v)]; }
+  [[nodiscard]] Index key(Index v) const { return key_[uz(v)]; }
   [[nodiscard]] bool is_variable(Index v) const { return kind_[uz(v)] == Kind::kVariable; }
 
-  /// Eliminates p, the argmin of (degree, id), plus every neighbour the
-  /// argmin rule would take straight after it; appends them to `order` and
-  /// pushes the changed exact degrees of the rest of L_p onto `heap`.
+  /// p holds the smallest current (key, id). Builds L_p; if p's key was an
+  /// inexact lower bound below |L_p|, re-keys p with |L_p| and returns.
+  /// Otherwise eliminates p plus every neighbour the argmin rule would take
+  /// straight after it, appends them to `order` and pushes the changed keys
+  /// of the rest of L_p onto `heap`.
   void eliminate(Index p, std::vector<Index>& order, DegreeHeap& heap);
 
  private:
   /// Moves every live list to the front of the pool, dropping garbage.
   void compact();
 
+#if OOCTREE_AUDIT_ENABLED
+  /// p's degree counted from scratch on the original pattern: the live
+  /// variables reached from p through eliminated vertices only.
+  [[nodiscard]] Index reachable_degree(Index p);
+
+  const SymPattern& pattern_;
+  std::vector<std::int64_t> seen_;
+  std::vector<Index> stack_;
+#endif
   Index n_;
   std::vector<Index> iw_;
   std::size_t pfree_ = 0;  // first unused pool slot; new elements go here
   std::vector<std::size_t> pe_;
   std::vector<Index> len_;
   std::vector<Index> elen_;
-  std::vector<Index> degree_;  // exact external degree of each variable
+  // key_[v] <= the exact external degree of variable v, with equality
+  // whenever exact_[v] is set.
+  std::vector<Index> key_;
+  std::vector<std::uint8_t> exact_;
   std::vector<Kind> kind_;
-  // Vertex stamps: mark_[v] == the pivot's stamp iff v is in L_p (or is p);
-  // later stamps of the same pivot dedupe one variable's degree count. The
-  // 64-bit counter grows by at most n per pivot, so it cannot wrap.
+  // Vertex stamps: mark_[v] == the pivot's stamp iff v is in L_p (or is p).
+  // The 64-bit counter grows by at most two per pop, so it cannot wrap.
   std::vector<std::int64_t> mark_;
   std::int64_t stamp_ = 0;
   // While pivot p is processed, wcount_[e] - wflg_ = |L_e \ L_p| for every
   // other element e touching L_p (AMD's w(e)); wflg_ grows by n + 1 per pivot.
   std::vector<std::int64_t> wcount_;
   std::int64_t wflg_ = 0;
-  std::vector<Index> external_;  // |external neighbourhood| by position in L_p
+  std::vector<Index> external_;  // lower bound on |external set| by position in L_p
   std::vector<std::pair<std::size_t, Index>> live_;  // compact() scratch
 };
 
 QuotientGraph::QuotientGraph(const SymPattern& pattern)
-    : n_(pattern.size()),
+    :
+#if OOCTREE_AUDIT_ENABLED
+      pattern_(pattern),
+      seen_(uz(pattern.size()), 0),
+#endif
+      n_(pattern.size()),
       // Live storage never exceeds nnz, and a new element needs at most
-      // n - 1 free slots; the rest is slack that keeps compactions rare.
+      // that many free slots; the rest is slack that keeps compactions rare.
       iw_(2 * (pattern.nnz() + uz(n_))),
       pe_(uz(n_)),
       len_(uz(n_)),
       elen_(uz(n_), 0),
-      degree_(uz(n_)),
+      key_(uz(n_)),
+      exact_(uz(n_), 1),
       kind_(uz(n_), Kind::kVariable),
       mark_(uz(n_), 0),
       wcount_(uz(n_), 0),
@@ -175,7 +196,7 @@ QuotientGraph::QuotientGraph(const SymPattern& pattern)
     const auto nb = pattern.neighbors(v);
     pe_[uz(v)] = pfree_;
     len_[uz(v)] = static_cast<Index>(nb.size());
-    degree_[uz(v)] = len_[uz(v)];
+    key_[uz(v)] = len_[uz(v)];
     for (const Index u : nb) iw_[pfree_++] = u;
   }
 }
@@ -196,12 +217,37 @@ void QuotientGraph::compact() {
   pfree_ = dst;
 }
 
-void QuotientGraph::eliminate(Index p, std::vector<Index>& order, DegreeHeap& heap) {
-  // The exact degree of p is |L_p|: room for the new element at the tail.
-  if (iw_.size() - pfree_ < uz(degree_[uz(p)])) compact();
+#if OOCTREE_AUDIT_ENABLED
+Index QuotientGraph::reachable_degree(Index p) {
+  const std::int64_t stamp = ++stamp_;
+  Index degree = 0;
+  seen_[uz(p)] = stamp;
+  stack_.assign(1, p);
+  while (!stack_.empty()) {
+    const Index v = stack_.back();
+    stack_.pop_back();
+    for (const Index u : pattern_.neighbors(v)) {
+      if (seen_[uz(u)] == stamp) continue;
+      seen_[uz(u)] = stamp;
+      if (is_variable(u))
+        ++degree;
+      else
+        stack_.push_back(u);
+    }
+  }
+  return degree;
+}
+#endif
 
-  // 1. L_p = (A_p ∪ L_e for e in E_p) \ {p}, written at the tail; the
-  //    elements of p are subsets of it and are absorbed.
+void QuotientGraph::eliminate(Index p, std::vector<Index>& order, DegreeHeap& heap) {
+  // |L_p| is at most the lists it is built from, all of them live storage.
+  std::size_t room = uz(len_[uz(p)] - elen_[uz(p)]);
+  for (Index k = 0; k < elen_[uz(p)]; ++k) room += uz(len_[uz(iw_[pe_[uz(p)] + uz(k)])]);
+  if (iw_.size() - pfree_ < room) compact();
+
+  // 1. L_p = (A_p ∪ L_e for e in E_p) \ {p}, written at the tail. This is
+  //    the union count that decides an inexact key: if |L_p| exceeds it,
+  //    p gets its exact degree back on the heap and nothing else changes.
   const std::int64_t lp = ++stamp_;
   mark_[uz(p)] = lp;
   const std::size_t lp_begin = pfree_;
@@ -210,15 +256,29 @@ void QuotientGraph::eliminate(Index p, std::vector<Index>& order, DegreeHeap& he
     mark_[uz(v)] = lp;
     iw_[pfree_++] = v;
   };
-  const std::size_t p_elems = pe_[uz(p)] + uz(elen_[uz(p)]);
-  const std::size_t p_end = pe_[uz(p)] + uz(len_[uz(p)]);
-  for (std::size_t k = pe_[uz(p)]; k < p_elems; ++k) {
+  const std::size_t p_begin = pe_[uz(p)];
+  const std::size_t p_elems = p_begin + uz(elen_[uz(p)]);
+  const std::size_t p_end = p_begin + uz(len_[uz(p)]);
+  for (std::size_t k = p_begin; k < p_elems; ++k) {
     const Index e = iw_[k];
-    kind_[uz(e)] = Kind::kDead;
     for (std::size_t j = pe_[uz(e)]; j < pe_[uz(e)] + uz(len_[uz(e)]); ++j) add(iw_[j]);
   }
   for (std::size_t k = p_elems; k < p_end; ++k) add(iw_[k]);
   const std::size_t lp_end = pfree_;
+  const auto degree = static_cast<Index>(lp_end - lp_begin);
+  OOCTREE_AUDIT_CHECK(reachable_degree(p) == degree,
+                      "minimum_degree: the quotient graph miscounts a degree");
+  OOCTREE_AUDIT_CHECK(key_[uz(p)] <= degree && (exact_[uz(p)] == 0 || key_[uz(p)] == degree),
+                      "minimum_degree: a key exceeds its degree, or an exact key is wrong");
+  if (degree != key_[uz(p)]) {
+    pfree_ = lp_begin;
+    key_[uz(p)] = degree;
+    exact_[uz(p)] = 1;
+    heap.push(heap_key(degree, p));
+    return;
+  }
+  // The elements of p are subsets of L_p and are absorbed.
+  for (std::size_t k = p_begin; k < p_elems; ++k) kind_[uz(iw_[k])] = Kind::kDead;
   kind_[uz(p)] = Kind::kElement;
   pe_[uz(p)] = lp_begin;
   elen_[uz(p)] = 0;
@@ -238,44 +298,31 @@ void QuotientGraph::eliminate(Index p, std::vector<Index>& order, DegreeHeap& he
 
   // 3. For each u in L_p, in place: drop absorbed elements and absorb every
   //    element covered by L_p; prune the variable links L_p now covers (p
-  //    among them); add element p. Then count u's external neighbourhood
-  //    |(A_u ∪ L_e for e in E_u \ {p}) \ L_p| with L_p marked once.
+  //    among them); add element p. u's external set (A_u ∪ L_e for e in
+  //    E_u \ {p}) \ L_p holds each of those lists, so its size is at least
+  //    the largest of w(e) and |A_u \ L_p|, and exactly that when u has no
+  //    other element, or one element and no variable.
   for (std::size_t k = lp_begin; k < lp_end; ++k) {
     const Index u = iw_[k];
     Index* list = iw_.data() + pe_[uz(u)];
     Index ne = 0;
+    Index external = 0;
     for (Index j = 0; j < elen_[uz(u)]; ++j) {
       const Index e = list[j];
       if (kind_[uz(e)] != Kind::kElement) continue;
-      if (wcount_[uz(e)] == wflg_) {
+      const auto w = static_cast<Index>(wcount_[uz(e)] - wflg_);
+      if (w == 0) {
         kind_[uz(e)] = Kind::kDead;
         continue;
       }
+      external = std::max(external, w);
       list[ne++] = e;
     }
     Index nv = ne;
     for (Index j = elen_[uz(u)]; j < len_[uz(u)]; ++j)
       if (mark_[uz(list[j])] != lp) list[nv++] = list[j];
-
-    Index external = 0;
-    if (ne == 0) {
-      external = nv;
-    } else if (ne == 1 && nv == 1) {
-      external = static_cast<Index>(wcount_[uz(list[0])] - wflg_);
-    } else {
-      const std::int64_t us = ++stamp_;
-      for (Index j = 0; j < ne; ++j) {
-        const Index e = list[j];
-        for (std::size_t i = pe_[uz(e)]; i < pe_[uz(e)] + uz(len_[uz(e)]); ++i) {
-          const Index v = iw_[i];
-          if (mark_[uz(v)] != lp && mark_[uz(v)] != us) {
-            mark_[uz(v)] = us;
-            ++external;
-          }
-        }
-      }
-      for (Index j = ne; j < nv; ++j) external += mark_[uz(list[j])] != us ? 1 : 0;
-    }
+    external = std::max(external, nv - ne);
+    exact_[uz(u)] = ne == 0 || (ne == 1 && nv == 1) ? 1 : 0;
     // u lost p or an absorbed element of p, so p fits: it takes the first
     // variable's slot and that variable moves to the end.
     list[nv] = list[ne];
@@ -285,10 +332,11 @@ void QuotientGraph::eliminate(Index p, std::vector<Index>& order, DegreeHeap& he
     external_[k - lp_begin] = external;
   }
 
-  // 4. Mass elimination. A variable with no external neighbour has degree
-  //    |L_p| - 1, below every other degree, and so does each such variable
-  //    after the previous one goes: the argmin rule takes them next, in id
-  //    order (all ids exceed p's, which won the tie). They leave L_p.
+  // 4. Mass elimination. A variable with no other element and no variable
+  //    has no external neighbour: its degree is |L_p| - 1, below every other
+  //    degree, and so is each such variable's after the previous one goes.
+  //    The argmin rule takes them next, in id order (all ids exceed p's,
+  //    which won the tie). They leave L_p.
   const std::size_t first_mass = order.size();
   std::size_t kept = lp_begin;
   for (std::size_t k = lp_begin; k < lp_end; ++k) {
@@ -303,17 +351,21 @@ void QuotientGraph::eliminate(Index p, std::vector<Index>& order, DegreeHeap& he
       ++kept;
     }
   }
+  const auto mass = static_cast<Index>(order.size() - first_mass);
   std::sort(order.begin() + static_cast<std::ptrdiff_t>(first_mass), order.end());
   len_[uz(p)] = static_cast<Index>(kept - lp_begin);
   pfree_ = kept;
 
-  // 5. Exact degree = the rest of L_p plus the external neighbourhood.
+  // 5. New keys: the rest of L_p plus the external bound. An inexact key
+  //    also keeps what the old one proves: u's degree fell by at most one
+  //    for p and one for each mass-eliminated neighbour.
   for (std::size_t k = lp_begin; k < kept; ++k) {
     const Index u = iw_[k];
-    const Index d = len_[uz(p)] - 1 + external_[k - lp_begin];
-    if (d == degree_[uz(u)]) continue;  // its heap key is still current
-    degree_[uz(u)] = d;
-    heap.push(heap_key(d, u));
+    Index key = len_[uz(p)] - 1 + external_[k - lp_begin];
+    if (exact_[uz(u)] == 0) key = std::max(key, key_[uz(u)] - 1 - mass);
+    if (key == key_[uz(u)]) continue;  // its heap entry is still current
+    key_[uz(u)] = key;
+    heap.push(heap_key(key, u));
   }
 }
 
@@ -323,7 +375,7 @@ std::vector<Index> minimum_degree(const SymPattern& pattern) {
   const Index n = pattern.size();
   QuotientGraph graph(pattern);
   std::vector<std::uint64_t> keys(uz(n));
-  for (Index v = 0; v < n; ++v) keys[uz(v)] = heap_key(graph.degree(v), v);
+  for (Index v = 0; v < n; ++v) keys[uz(v)] = heap_key(graph.key(v), v);
   DegreeHeap heap(std::greater<>{}, std::move(keys));
 
   std::vector<Index> order;
@@ -332,7 +384,7 @@ std::vector<Index> minimum_degree(const SymPattern& pattern) {
     const std::uint64_t key = heap.top();
     heap.pop();
     const auto p = static_cast<Index>(key & 0xffffffffU);
-    if (!graph.is_variable(p) || heap_key(graph.degree(p), p) != key) continue;
+    if (!graph.is_variable(p) || heap_key(graph.key(p), p) != key) continue;
     graph.eliminate(p, order, heap);
   }
   return order;

@@ -7,18 +7,24 @@
 // global operator new with a counting one and asserts that each kernel
 // allocates a bounded number of times on a 16000-node SYNTH tree — a
 // per-node allocation anywhere on the path costs thousands and fails here.
+// The cold .mtx path (reader, minimum degree, permutation, assembly tree)
+// is held to the same bound.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/minio_postorder.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/rec_expand.hpp"
+#include "src/service/request.hpp"
+#include "src/sparse/generators.hpp"
+#include "src/sparse/matrix_market.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/rng.hpp"
 
@@ -133,6 +139,28 @@ TEST_P(AllocationGuard, SynthInstance) {
   });
   EXPECT_EQ(size, kNodes);
   EXPECT_LT(n, kMaxAllocations);
+}
+
+// The cold .mtx path of a path-source request: parse the bytes, order by
+// minimum degree, permute, build the assembly tree. Each stage reserves its
+// storage once, so the count does not grow with the pattern.
+TEST(AllocationGuardMatrixMarket, TreeFromBytes) {
+  util::Rng rng(23);
+  const sparse::SymPattern patterns[] = {sparse::grid2d(56, 56),
+                                         sparse::random_symmetric(4000, 4.0, rng)};
+  for (const sparse::SymPattern& pattern : patterns) {
+    std::ostringstream out;
+    sparse::write_matrix_market(out, pattern);
+    std::string bytes = out.str();
+    std::size_t size = 0;
+    const std::size_t n = allocations_of([&] {
+      size = service::tree_from_bytes(service::TreeSource::kMatrixMarket, std::move(bytes),
+                                      MemoryModel::kSumInOut)
+                 .size();
+    });
+    EXPECT_GT(size, 0u);
+    EXPECT_LT(n, kMaxAllocations) << "n = " << pattern.size();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModels, AllocationGuard,

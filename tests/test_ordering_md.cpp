@@ -1,8 +1,11 @@
 // Differential suite for sparse::minimum_degree. The shipped kernel works on
-// a flat quotient graph; the oracle (tests/oracles/minimum_degree_reference)
-// is the original vector-of-vectors kernel. Both eliminate the argmin of
-// (exact external degree, vertex id), so their permutations must agree
-// element for element, and the assembly trees built on them must hash equal.
+// a flat quotient graph and keys its heap by lower bounds on the degrees;
+// the oracle (tests/oracles/minimum_degree_reference) is the original
+// vector-of-vectors kernel, which recomputes every degree exactly. Both
+// eliminate the argmin of (exact external degree, vertex id), so their
+// permutations must agree element for element, and the assembly trees built
+// on them must hash equal. The fill-heavy cases are where most keys are
+// inexact when they reach the top of the heap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/check.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/generators.hpp"
 #include "src/sparse/ordering.hpp"
@@ -63,6 +67,83 @@ TEST(MinimumDegreeDifferential, RandomSymmetric) {
                         "random n=" + std::to_string(n) + " deg=" + std::to_string(degree));
     }
   }
+}
+
+// Sparse random patterns fill in heavily: most keys are lower bounds when
+// they reach the top. The oracle's cost grows with the fill (about 1 s at
+// n = 2000, degree 8, and 10 s at n = 4000), which bounds the sizes here.
+TEST(MinimumDegreeDifferential, FillHeavyRandomDegree2p5) {
+  for (const Index n : {2000, 3000, 4000}) {
+    util::Rng rng(static_cast<std::uint64_t>(n) + 3);
+    expect_same_order(sparse::random_symmetric(n, 2.5, rng), "random n=" + std::to_string(n));
+  }
+}
+
+TEST(MinimumDegreeDifferential, FillHeavyRandomDegree8) {
+  util::Rng rng(808);
+  expect_same_order(sparse::random_symmetric(2000, 8.0, rng), "random n=2000 deg=8");
+}
+
+TEST(MinimumDegreeDifferential, FillHeavyRandomDegree12) {
+  util::Rng rng(1212);
+  expect_same_order(sparse::random_symmetric(2000, 12.0, rng), "random n=2000 deg=12");
+}
+
+/// The disjoint union of `parts`, vertex ids offset part by part.
+SymPattern disjoint_union(const std::vector<SymPattern>& parts) {
+  std::vector<std::pair<Index, Index>> edges;
+  Index n = 0;
+  for (const SymPattern& p : parts) {
+    for (Index v = 0; v < p.size(); ++v)
+      for (const Index u : p.neighbors(v))
+        if (u < v) edges.emplace_back(n + v, n + u);
+    n += p.size();
+  }
+  return SymPattern::from_entries(n, std::move(edges));
+}
+
+TEST(MinimumDegreeDifferential, DisjointUnions) {
+  util::Rng rng(31);
+  expect_same_order(disjoint_union({sparse::grid2d(20, 20), sparse::random_symmetric(500, 4.0, rng),
+                                    sparse::grid3d(6, 6, 6), sparse::grid2d_9pt(15, 9)}),
+                    "grid + random + 3-D + 9-pt");
+  expect_same_order(disjoint_union({sparse::random_symmetric(300, 8.0, rng),
+                                    sparse::random_symmetric(300, 8.0, rng),
+                                    sparse::random_symmetric(301, 2.5, rng)}),
+                    "three random patterns");
+  // Equal components tie on every degree; the ids decide.
+  expect_same_order(disjoint_union({sparse::grid2d(12, 12), sparse::grid2d(12, 12),
+                                    sparse::grid2d(12, 12)}),
+                    "three equal grids");
+}
+
+TEST(MinimumDegreeDifferential, Arrowhead) {
+  // A path whose every vertex also touches the last `k` vertices, the
+  // arrowhead's dense rows.
+  for (const Index k : {1, 3, 12}) {
+    const Index n = 600;
+    std::vector<std::pair<Index, Index>> edges;
+    for (Index v = 0; v + 1 < n - k; ++v) edges.emplace_back(v, v + 1);
+    for (Index v = 0; v < n - k; ++v)
+      for (Index t = n - k; t < n; ++t) edges.emplace_back(v, t);
+    expect_same_order(SymPattern::from_entries(n, edges), "arrowhead k=" + std::to_string(k));
+  }
+}
+
+TEST(MinimumDegreeAudit, EveryPivotDegreeIsRecountedAgainstItsKey) {
+#if OOCTREE_AUDIT_ENABLED
+  // Under OOCTREE_AUDIT the kernel recounts each popped vertex's degree
+  // from scratch on the original pattern (reachability through eliminated
+  // vertices) and checks it against the quotient graph's count and the
+  // vertex's key: two checks per pop.
+  util::Rng rng(4);
+  const SymPattern p = sparse::random_symmetric(800, 8.0, rng);
+  const std::uint64_t before = core::audit_checks_executed();
+  expect_same_order(p, "audited random n=800");
+  EXPECT_GE(core::audit_checks_executed() - before, 200u);
+#else
+  GTEST_SKIP() << "audit checks compile only under OOCTREE_AUDIT";
+#endif
 }
 
 TEST(MinimumDegreeDifferential, BorderedBlockDiagonal) {

@@ -363,6 +363,16 @@ TEST(MatrixMarket, RejectsUnknownField) {
             "");
 }
 
+TEST(MatrixMarket, RejectsTrailingTokensOnTheSizeLine) {
+  // "3 3 2 7" used to parse as 3x3 with 2 entries, the 7 silently dropped.
+  EXPECT_EQ(matrix_market_error(
+                "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2 7\n2 1\n3 2\n"),
+            "matrix market: malformed size line");
+  EXPECT_EQ(matrix_market_error(
+                "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2 \t\r\n2 1\n3 2\n"),
+            "");
+}
+
 TEST(MatrixMarket, RejectsEntriesBeyondTheDeclaredCount) {
   // "3 3 1" over a 3-entry body used to parse as a 1-edge pattern: a
   // different matrix, so a different tree, answered as if fine.
