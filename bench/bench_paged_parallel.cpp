@@ -29,9 +29,9 @@
 // Every instance is differential-checked before it is measured:
 //   * page_size = 1 + free reads must be bit-identical to
 //     simulate_parallel (the unit engine is that specialization);
-//   * workers = 1 + sequential order + strict scan must reproduce
-//     iosim::run_pager's page I/O on the same schedule for every
-//     deterministic policy;
+//   * workers = 1 + sequential order + strict scan must reproduce the
+//     sequential pager oracle's (parallel::oracle::run_pager_reference)
+//     page I/O on the same schedule for every deterministic policy;
 //   * the pipelined engine with both knobs zero must reproduce the
 //     synchronous disk run bit-identically (the pipeline is strictly
 //     additive).
@@ -65,13 +65,13 @@
 
 #include "experiment.hpp"
 #include "src/core/minmem_postorder.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "src/service/request.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stopwatch.hpp"
+#include "tests/oracles/pager_reference.hpp"
 
 namespace {
 
@@ -117,8 +117,8 @@ const std::vector<Scheduler>& schedulers() {
       // The baseline: replay the paper's sequential schedule in order with
       // no look-ahead — when the next task in order does not fit, wait for
       // memory. depth 1 is the strict scan; its workers=1 row is the
-      // paper's sequential FiF execution (pinned to iosim::run_pager by
-      // differential check 2).
+      // paper's sequential FiF execution (pinned to the sequential pager
+      // oracle by differential check 2).
       {"sequential-order", Priority::kSequentialOrder, 1, false, false},
       // Unlimited first-fit backfill.
       {"sequential-backfill", Priority::kSequentialOrder, 0, false, false},
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
                     17u * static_cast<std::uint64_t>(rep));
       const Tree t = treegen::synth_instance(n, 1, 100, rng);
       const Weight lb = t.min_feasible_memory();
-      const Weight floor = iosim::min_feasible_frames(t, kPageSize) * kPageSize;
+      const Weight floor = parallel::min_feasible_frames(t, kPageSize) * kPageSize;
       const Weight memory =
           std::max(static_cast<Weight>(static_cast<double>(lb) * 1.1), floor);
       const Schedule reference = core::postorder_minmem(t).schedule;
@@ -275,11 +275,12 @@ int main(int argc, char** argv) {
       // reproduce the sequential pager's page I/O, per policy.
       for (const EvictionPolicy policy :
            {EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kLargestFirst}) {
-        iosim::PagerConfig pc;
+        parallel::oracle::PagerConfig pc;
         pc.page_size = kPageSize;
         pc.memory = memory;
         pc.policy = policy;
-        const iosim::PagerStats pager = iosim::run_pager(t, reference, pc);
+        const parallel::oracle::PagerStats pager =
+            parallel::oracle::run_pager_reference(t, reference, pc);
         ParallelConfig base;
         base.workers = 1;
         base.memory = memory;
@@ -292,6 +293,8 @@ int main(int argc, char** argv) {
         const PagedParallelResult r = parallel::simulate_parallel_paged(t, paged, reference);
         if (r.base.feasible != pager.feasible ||
             r.pages_written != pager.pages_written || r.pages_read != pager.pages_read ||
+            r.pages_dropped_clean != pager.pages_dropped_clean ||
+            r.eviction_events != pager.eviction_events ||
             r.peak_frames_used != pager.peak_frames_used) {
           std::printf("DIFFERENTIAL MISMATCH (pager) at n=%zu rep=%d policy=%s\n", n, rep,
                       core::eviction_policy_name(policy).c_str());

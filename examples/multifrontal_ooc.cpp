@@ -7,13 +7,13 @@
 // tree with supernode amalgamation), then plans an out-of-core
 // factorization under a memory budget that is a fraction of the in-core
 // peak, comparing the paper's strategies and replaying the winner through
-// the page-granular simulator.
+// the paged engine at one worker (the sequential page-granular replay).
 #include <cstdio>
 #include <stdexcept>
 
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/strategies.hpp"
-#include "src/iosim/pager.hpp"
+#include "src/parallel/parallel_sim.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/etree.hpp"
 #include "src/sparse/generators.hpp"
@@ -80,17 +80,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Replay the winner through the pager with a realistic page size.
+  // Replay the winner with a realistic page size: one worker following the
+  // plan's order, strict priority, Belady eviction.
   const auto plan = core::run_strategy(best, tree, memory);
-  iosim::PagerConfig config;
+  parallel::PagedParallelConfig config;
   config.page_size = std::max<Weight>(1, memory / 1024);  // ~1Ki frames
+  config.base.workers = 1;
+  config.base.priority = parallel::Priority::kSequentialOrder;
+  config.base.backfill_depth = 1;
+  config.base.evict = core::EvictionPolicy::kBelady;
   // Per-child page rounding can push a single task's working set past
-  // memory/page frames; grant the pager the rounded-up minimum.
-  config.memory = std::max(
-      memory, iosim::min_feasible_frames(tree, config.page_size) * config.page_size);
-  config.policy = core::EvictionPolicy::kBelady;
-  const auto replay = iosim::run_pager(tree, plan.schedule, config);
-  if (!replay.feasible) throw std::runtime_error("pager replay infeasible");
+  // memory/page frames; grant the replay the rounded-up minimum.
+  config.base.memory = std::max(
+      memory, parallel::min_feasible_frames(tree, config.page_size) * config.page_size);
+  const auto replay = parallel::simulate_parallel_paged(tree, config, plan.schedule);
+  if (!replay.base.feasible) throw std::runtime_error("pager replay infeasible");
   std::printf("\nwinner: %s; pager replay (page = %lld units): %lld pages written,"
               " %lld read back, peak %lld frames\n",
               core::strategy_name(best).c_str(), (long long)config.page_size,

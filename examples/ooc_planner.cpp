@@ -19,13 +19,10 @@
 #include <iostream>
 #include <sstream>
 
-#include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/core/strategies.hpp"
-#include "src/core/local_search.hpp"
 #include "src/core/tree_io.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "src/service/plan_service.hpp"
 #include "src/service/request_io.hpp"
@@ -55,7 +52,6 @@ void usage(const char* prog) {
       "  --memory M          memory bound in units\n"
       "  --memory-fraction F bound = F * in-core peak (default 0.5)\n"
       "  --strategy S        postorder | optminmem | recexpand (default) | full\n"
-      "  --polish            run local-search polishing on the planned schedule\n"
       "  --workers N         also simulate N-worker parallel execution of the plan\n"
       "  --evict P           parallel eviction policy: belady (default) | lru |\n"
       "                      random | largest\n"
@@ -198,18 +194,7 @@ int main(int argc, char** argv) {
     }
 
     const core::Strategy strategy = core::strategy_from_name(args.get("strategy", "recexpand"));
-    auto plan = core::run_strategy(strategy, tree, memory);
-    if (args.has("polish")) {
-      core::PolishOptions popts;
-      popts.max_evaluations = 3000;
-      const auto polished = core::polish_schedule(tree, plan.schedule, memory, popts);
-      if (polished.io_after < plan.io_volume()) {
-        std::fprintf(stderr, "polish improved the plan: %lld -> %lld I/O units\n",
-                     (long long)plan.io_volume(), (long long)polished.io_after);
-        plan.schedule = polished.schedule;
-        plan.evaluation = core::simulate_fif(tree, plan.schedule, memory);
-      }
-    }
+    const auto plan = core::run_strategy(strategy, tree, memory);
 
     std::ofstream file;
     std::ostream* out = &std::cout;
@@ -265,8 +250,8 @@ int main(int argc, char** argv) {
                        "paged replay infeasible: %lld frames of %lld units, need >= %lld "
                        "frames (M >= %lld)\n",
                        (long long)par.frames, (long long)paged.page_size,
-                       (long long)iosim::min_feasible_frames(tree, paged.page_size),
-                       (long long)(iosim::min_feasible_frames(tree, paged.page_size) *
+                       (long long)parallel::min_feasible_frames(tree, paged.page_size),
+                       (long long)(parallel::min_feasible_frames(tree, paged.page_size) *
                                    paged.page_size));
           return 1;
         }

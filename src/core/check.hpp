@@ -8,8 +8,9 @@
 //     unconditionally. They are O(state) consistency sweeps a test calls at
 //     a point of quiescence, in every preset.
 //   * implicit engine audits — the conservation / write-at-most-once /
-//     transactional-start checks inside run_pager and
-//     simulate_parallel_paged — go through OOCTREE_AUDIT_CHECK, which
+//     transactional-start checks inside simulate_parallel_paged (and the
+//     sequential pager oracle, parallel::oracle::run_pager_reference in
+//     tests/oracles/) — go through OOCTREE_AUDIT_CHECK, which
 //     compiles to nothing unless the build defines OOCTREE_AUDIT (the dev
 //     preset does; release and the benches stay zero-cost).
 //
@@ -75,8 +76,9 @@ namespace fault {
 /// leaves the entry's version live), the bookkeeping drift audit() exists
 /// to catch.
 inline std::atomic<int> eviction_index{0};
-/// 1 = run_pager does not reserve the transient working space of a step
-/// (the PR 3 "head-room not allocated" seed bug).
+/// 1 = the sequential pager oracle (parallel::oracle::run_pager_reference,
+/// tests/oracles/pager_reference.cpp) does not reserve the transient
+/// working space of a step (the PR 3 "head-room not allocated" seed bug).
 inline std::atomic<int> pager{0};
 /// Bitmask for simulate_parallel_paged: 1 = a failed transactional start
 /// still charges io_volume (the PR 3 "failed starts charge I/O" seed bug);

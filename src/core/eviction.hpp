@@ -1,7 +1,8 @@
 // Shared eviction-policy machinery for the out-of-core simulators.
 //
-// Both the page-granular pager (src/iosim/pager.cpp) and the parallel
-// simulator (src/parallel/parallel_sim.cpp) repeatedly answer the same
+// The parallel simulator (src/parallel/parallel_sim.cpp) and the test
+// oracles that replay the same executions (tests/oracles/: the sequential
+// pager and the reference parallel engines) repeatedly answer the same
 // question: "memory is short — which active datum loses units next?".
 // This module centralizes the answer. EvictionPolicy names the replacement
 // rules (Belady/FiF — the paper's Theorem 1 optimum — plus the classic
@@ -19,7 +20,7 @@
 //
 // Units and invariants. The index holds node ids only — whether an entry's
 // "size" means memory units (simulate_parallel at page_size 1) or pages
-// (run_pager, simulate_parallel_paged) is the caller's convention; the key
+// (simulate_parallel_paged, the pager oracle) is the caller's convention; the key
 // passed to insert() must be in the caller's own unit too (LargestFirst
 // re-keys with resident *pages* in the paged engines). The index never
 // removes a victim by itself: pick() is read-only, and the caller either

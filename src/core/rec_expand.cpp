@@ -124,35 +124,21 @@ void subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& scr
   }
 }
 
-/// The victim-selection scan of Algorithm 2, in the rank domain (identical
-/// iteration order and keys as the reference path's scan over sub ids).
-NodeId select_victim(const Tree& tree, const RecExpandOptions& options,
-                     const SubtreeScratch& scratch) {
+/// The victim-selection scan of Algorithm 2, line 6: the FiF-positive node
+/// whose parent is scheduled latest, the first one on a tie. Runs in the
+/// rank domain (identical iteration order and keys as the reference path's
+/// scan over sub ids).
+NodeId select_victim(const Tree& tree, const SubtreeScratch& scratch) {
   NodeId victim = kNoNode;
-  std::int64_t victim_key = 0;
+  std::size_t latest_parent = 0;
   for (std::size_t k = 0; k < scratch.io.size(); ++k) {
     if (scratch.io[k] <= 0) continue;
-    const auto krank = static_cast<NodeId>(k);
     // tau > 0 => non-root of the subtree, so the parent is inside it.
     const NodeId prank = scratch.rank_of[idx(tree.parent(scratch.post[k]))];
-    std::int64_t key = 0;
-    switch (options.victim_rule) {
-      case VictimRule::kLatestParent:
-        key = static_cast<std::int64_t>(scratch.pos[idx(prank)]);
-        break;
-      case VictimRule::kEarliestParent:
-        key = -static_cast<std::int64_t>(scratch.pos[idx(prank)]);
-        break;
-      case VictimRule::kLargestIo:
-        key = scratch.io[k];
-        break;
-      case VictimRule::kFirstScheduled:
-        key = -static_cast<std::int64_t>(scratch.pos[k]);
-        break;
-    }
-    if (victim == kNoNode || key > victim_key) {
-      victim = krank;
-      victim_key = key;
+    const std::size_t parent_pos = scratch.pos[idx(prank)];
+    if (victim == kNoNode || parent_pos > latest_parent) {
+      victim = static_cast<NodeId>(k);
+      latest_parent = parent_pos;
     }
   }
   return victim;
@@ -216,7 +202,7 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
       scratch.sched.clear();
       engine.extract_schedule(sr, scratch.sched);
       subtree_fif(expanded.tree, sr, memory, scratch);
-      const NodeId victim = select_victim(expanded.tree, options, scratch);
+      const NodeId victim = select_victim(expanded.tree, scratch);
       if (victim == kNoNode) break;  // peak > M but no I/O was forced: done
 
       const NodeId victim_in_expanded = scratch.post[idx(victim)];

@@ -25,24 +25,11 @@
 
 namespace ooctree::core {
 
-/// Which FiF-positive node to expand at each iteration. The paper selects
-/// the node whose parent is scheduled latest; the alternatives exist for
-/// the ablation study (bench_ablation_victim).
-enum class VictimRule : std::uint8_t {
-  kLatestParent,   ///< the paper's rule (Algorithm 2, line 6)
-  kEarliestParent, ///< opposite extreme
-  kLargestIo,      ///< node with the largest FiF write amount
-  kFirstScheduled, ///< earliest-produced datum with positive tau
-};
-
 /// Tuning knobs for the RecExpand family.
 struct RecExpandOptions {
   /// Maximum expand-and-retry iterations of the while loop per node.
   /// Paper: infinity for FullRecExpand, 2 for RecExpand.
   std::size_t max_expansions_per_node = std::numeric_limits<std::size_t>::max();
-
-  /// Expansion victim selection rule.
-  VictimRule victim_rule = VictimRule::kLatestParent;
 
   /// Safety valve: total expansions across the whole run. FullRecExpand's
   /// loop count is not polynomially bounded (Section 5), so a cap keeps

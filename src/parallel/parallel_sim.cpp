@@ -9,7 +9,6 @@
 
 #include "src/core/check.hpp"
 #include "src/core/minmem_postorder.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/util/rng.hpp"
 
 namespace ooctree::parallel {
@@ -206,6 +205,21 @@ double total_work(const Tree& tree, CostModel cost) {
   return total;
 }
 
+Weight task_frames(const Tree& tree, NodeId node, Weight page_size) {
+  if (page_size <= 0) throw std::invalid_argument("task_frames: bad page size");
+  Weight child_pages = 0;
+  for (const NodeId c : tree.children(node)) child_pages += page_count(tree.weight(c), page_size);
+  return std::max(child_pages, page_count(tree.wbar(node), page_size));
+}
+
+Weight min_feasible_frames(const Tree& tree, Weight page_size) {
+  if (page_size <= 0) throw std::invalid_argument("min_feasible_frames: bad page size");
+  Weight frames = 0;
+  for (std::size_t i = 0; i < tree.size(); ++i)
+    frames = std::max(frames, task_frames(tree, static_cast<NodeId>(i), page_size));
+  return frames;
+}
+
 ParallelResult simulate_parallel(const Tree& tree, const ParallelConfig& config,
                                  const Schedule& reference) {
   // The unit-granular engine IS the paged core at page_size = 1 with free
@@ -236,21 +250,21 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
   result.start_time.assign(tree.size(), -1.0);
   result.finish_time.assign(tree.size(), -1.0);
 
-  // Page geometry (shared with iosim::run_pager): a datum occupies
-  // total_pages frames; a running task holds work_frames =
-  // iosim::task_frames (children's page-rounded outputs + transient extra).
+  // Page geometry: a datum occupies total_pages frames; a running task
+  // holds work_frames = task_frames (children's page-rounded outputs +
+  // transient extra).
   std::vector<Weight> total_pages(tree.size(), 0);
   std::vector<Weight> work_frames(tree.size(), 0);
   for (std::size_t i = 0; i < tree.size(); ++i) {
     const auto id = static_cast<NodeId>(i);
-    total_pages[i] = iosim::page_count(tree.weight(id), page);
-    work_frames[i] = iosim::task_frames(tree, id, page);
+    total_pages[i] = page_count(tree.weight(id), page);
+    work_frames[i] = task_frames(tree, id, page);
   }
 
   // State. Liveness needs no flags here: a live output with resident pages
   // is exactly an EvictionIndex entry, and `resident` covers the rest.
   // Dirtiness is per page: resident - dirty pages have a disk copy and are
-  // dropped for free on eviction (write-at-most-once, as in run_pager).
+  // dropped for free on eviction (write-at-most-once).
   std::vector<Weight> resident(tree.size(), 0);  // in-memory pages of outputs
   std::vector<Weight> dirty(tree.size(), 0);     // resident pages with no disk copy
   std::vector<std::size_t> missing_children(tree.size(), 0);

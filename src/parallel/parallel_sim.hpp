@@ -14,11 +14,16 @@
 //
 // Units. The *unit-granular* API (simulate_parallel) accounts residency in
 // abstract memory units, exactly like core::simulate_fif; the *paged* API
-// (simulate_parallel_paged) accounts in fixed-size pages the way
-// iosim::run_pager does: memory is frames = M / page_size, every datum
-// occupies ceil(weight / page_size) frames, and a running task holds
-// task_frames = max(sum of child pages, ceil(wbar / page_size)) frames.
-// With page_size = 1 the two accountings coincide unit-for-unit.
+// (simulate_parallel_paged) accounts in fixed-size pages the way a real
+// paging runtime would: memory is frames = M / page_size, every datum
+// occupies page_count(weight) = ceil(weight / page_size) frames, and a
+// running task holds task_frames = max(sum of child pages, ceil(wbar /
+// page_size)) frames (the page geometry declared below). With page_size = 1
+// the two accountings coincide unit-for-unit. At one worker in a fixed
+// sequential order it is the sequential pager: Belady eviction at
+// page_size = 1 then writes exactly what core::simulate_fif counts, and the
+// other policies show how far from Theorem 1's bound they land
+// (bench_ablation_eviction, bench_paged_parallel).
 //
 // One engine implements both: simulate_parallel is the page_size = 1,
 // free-read specialization of the paged core, so the two APIs cannot
@@ -30,8 +35,7 @@
 //     spill;
 //   * write-at-most-once — dirtiness is tracked per page; evicting a page
 //     whose disk copy exists is free, so a datum's written volume never
-//     exceeds its page-rounded size (the invariant iosim::run_pager
-//     guarantees, now shared by the parallel engine);
+//     exceeds its page-rounded size;
 //   * indexed eviction and ready set — victims come from
 //     core::EvictionIndex and ready tasks from a segment tree over their
 //     fixed priority ranks, each in O(log n), never from a scan of all n
@@ -57,16 +61,20 @@
 // memory and an empty eviction index, throwing core::AuditError on drift
 // (src/core/check.hpp; exercised plus fault-injected by
 // tests/test_audit.cpp).
-// Two engines in tests/oracles/, outside the shipped library, are the
-// differential oracles; both rank tasks through the same prepare_replay().
+// Three engines in tests/oracles/, outside the shipped library, are the
+// differential oracles; the two parallel ones rank tasks through the same
+// prepare_replay().
 // The scan-based unit engine (parallel::oracle::simulate_parallel_reference,
 // O(n) victim scan + sort per start) is pinned bit-identical by
 // tests/test_parallel_incremental.cpp. The heap-scan paged engine
 // (parallel::oracle::simulate_parallel_paged_reference, a binary-heap ready
 // queue that pops every failed start) covers the disk model, the residency
 // scan and the pipeline: tests/test_paged_parallel.cpp checks every
-// PagedParallelResult field against it, and pins the paged accounting
-// against iosim::run_pager and the sequential FiF counter.
+// PagedParallelResult field against it. The sequential pager
+// (parallel::oracle::run_pager_reference, one task per step in a fixed
+// schedule) pins the paged accounting at one worker, and the sequential FiF
+// counter pins it at page_size = 1 (tests/test_pager.cpp,
+// tests/test_paged_parallel.cpp).
 //
 // Read costs. The unit engine keeps the paper's convention that reads
 // mirror writes and cost no time. The paged engine optionally folds the
@@ -198,6 +206,24 @@ struct ParallelResult {
   }
 };
 
+/// Pages needed to hold `units` memory units (ceil division): the page
+/// geometry of a datum.
+[[nodiscard]] inline core::Weight page_count(core::Weight units, core::Weight page_size) {
+  return (units + page_size - 1) / page_size;
+}
+
+/// Frames a task occupies while executing: its children's page-rounded
+/// outputs plus the transient extra, i.e. max(sum of child pages,
+/// ceil(wbar / page_size)). At page_size = 1 this is wbar(node) under both
+/// memory models (wbar >= sum of child weights by construction).
+[[nodiscard]] core::Weight task_frames(const core::Tree& tree, core::NodeId node,
+                                       core::Weight page_size);
+
+/// The page-granular analogue of Tree::min_feasible_memory(): the smallest
+/// frame count under which every single task's working set fits (per-child
+/// page rounding makes this larger than ceil(LB / page_size)).
+[[nodiscard]] core::Weight min_feasible_frames(const core::Tree& tree, core::Weight page_size);
+
 /// Paged-engine knobs: the unit-granular config plus the page geometry and
 /// an optional disk-cost model. `base.memory` stays in memory units; the
 /// engine runs on frames = base.memory / page_size.
@@ -258,8 +284,9 @@ struct PagedParallelResult {
 /// (pinned by tests/test_paged_parallel.cpp):
 ///   * page_size = 1, no disk model  -> bit-identical to simulate_parallel;
 ///   * workers = 1, sequential order, backfill_depth 1 -> page I/O identical to
-///     iosim::run_pager on the same schedule (and, at page_size = 1, I/O
-///     volume and peak identical to core::simulate_fif).
+///     the sequential pager oracle (parallel::oracle::run_pager_reference)
+///     on the same schedule (and, at page_size = 1, I/O volume and peak
+///     identical to core::simulate_fif).
 [[nodiscard]] PagedParallelResult simulate_parallel_paged(const core::Tree& tree,
                                                           const PagedParallelConfig& config,
                                                           const core::Schedule& reference = {});

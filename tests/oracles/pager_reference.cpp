@@ -1,4 +1,4 @@
-#include "src/iosim/pager.hpp"
+#include "tests/oracles/pager_reference.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -7,7 +7,7 @@
 #include "src/core/check.hpp"
 #include "src/util/rng.hpp"
 
-namespace ooctree::iosim {
+namespace ooctree::parallel::oracle {
 
 using core::EvictionIndex;
 using core::EvictionPolicy;
@@ -31,25 +31,12 @@ struct DatumState {
 
 }  // namespace
 
-Weight task_frames(const Tree& tree, NodeId node, Weight page_size) {
-  if (page_size <= 0) throw std::invalid_argument("task_frames: bad page size");
-  Weight child_pages = 0;
-  for (const NodeId c : tree.children(node)) child_pages += page_count(tree.weight(c), page_size);
-  return std::max(child_pages, page_count(tree.wbar(node), page_size));
-}
-
-Weight min_feasible_frames(const Tree& tree, Weight page_size) {
-  if (page_size <= 0) throw std::invalid_argument("min_feasible_frames: bad page size");
-  Weight frames = 0;
-  for (std::size_t i = 0; i < tree.size(); ++i)
-    frames = std::max(frames, task_frames(tree, static_cast<NodeId>(i), page_size));
-  return frames;
-}
-
-PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConfig& config) {
-  if (config.page_size <= 0) throw std::invalid_argument("run_pager: page_size must be positive");
+PagerStats run_pager_reference(const Tree& tree, const Schedule& schedule,
+                               const PagerConfig& config) {
+  if (config.page_size <= 0)
+    throw std::invalid_argument("run_pager_reference: page_size must be positive");
   if (!core::is_topological_order(tree, schedule))
-    throw std::invalid_argument("run_pager: schedule is not a topological order");
+    throw std::invalid_argument("run_pager_reference: schedule is not a topological order");
 
   const Weight frames = config.memory / config.page_size;
   const std::vector<std::size_t> pos = core::schedule_positions(tree, schedule);
@@ -58,8 +45,8 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
   std::vector<DatumState> state(tree.size());
   for (std::size_t i = 0; i < tree.size(); ++i) {
     state[i].total_pages = page_count(tree.weight(static_cast<NodeId>(i)), config.page_size);
-    state[i].consumer =
-        tree.parent(static_cast<NodeId>(i)) == kNoNode ? schedule.size() : pos[idx(tree.parent(static_cast<NodeId>(i)))];
+    const NodeId parent = tree.parent(static_cast<NodeId>(i));
+    state[i].consumer = parent == kNoNode ? schedule.size() : pos[idx(parent)];
   }
 
   PagerStats stats;
@@ -85,14 +72,16 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
     for (std::size_t i = 0; i < tree.size(); ++i) {
       const DatumState& d = state[i];
       core::audit_check(d.dirty_pages >= 0 && d.dirty_pages <= d.resident_pages,
-                        "run_pager: dirty pages outside [0, resident]");
+                        "run_pager_reference: dirty pages outside [0, resident]");
       core::audit_check(d.resident_pages <= d.total_pages,
-                        "run_pager: resident pages exceed the datum size");
+                        "run_pager_reference: resident pages exceed the datum size");
       resident_total += d.resident_pages;
     }
     core::audit_check(resident_total == frames_used,
-                      "run_pager: frames_used != resident pages (reservation leak)");
-    core::audit_check(frames_used <= frames, "run_pager: frames_used exceeds the frame count");
+                      "run_pager_reference: frames_used != resident pages "
+                      "(reservation leak)");
+    core::audit_check(frames_used <= frames,
+                      "run_pager_reference: frames_used exceeds the frame count");
     index.audit();
   };
 #endif
@@ -202,7 +191,7 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
           case EvictionPolicy::kLargestFirst: return out_pages;
           case EvictionPolicy::kRandom: return 0;
         }
-        throw std::invalid_argument("run_pager: unknown policy");
+        throw std::invalid_argument("run_pager_reference: unknown policy");
       }();
       index.insert(node, key);
     }
@@ -216,4 +205,4 @@ PagerStats run_pager(const Tree& tree, const Schedule& schedule, const PagerConf
   return stats;
 }
 
-}  // namespace ooctree::iosim
+}  // namespace ooctree::parallel::oracle

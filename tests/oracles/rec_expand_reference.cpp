@@ -1,6 +1,5 @@
 #include "tests/oracles/rec_expand_reference.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -72,30 +71,15 @@ RecExpandResult rec_expand_reference(const Tree& tree, Weight memory,
 
       const FifResult fif = simulate_fif(sub, opt.schedule, memory);
       const std::vector<std::size_t> pos = schedule_positions(sub, opt.schedule);
-      NodeId victim = kNoNode;
-      std::int64_t victim_key = 0;
+      NodeId victim = kNoNode;  // the FiF-positive node whose parent runs latest
+      std::size_t latest_parent = 0;
       for (std::size_t k = 0; k < sub.size(); ++k) {
         if (fif.io[k] <= 0) continue;
         const NodeId knode = static_cast<NodeId>(k);
         const NodeId parent = sub.parent(knode);  // tau>0 => non-root
-        std::int64_t key = 0;
-        switch (options.victim_rule) {
-          case VictimRule::kLatestParent:
-            key = static_cast<std::int64_t>(pos[idx(parent)]);
-            break;
-          case VictimRule::kEarliestParent:
-            key = -static_cast<std::int64_t>(pos[idx(parent)]);
-            break;
-          case VictimRule::kLargestIo:
-            key = fif.io[k];
-            break;
-          case VictimRule::kFirstScheduled:
-            key = -static_cast<std::int64_t>(pos[k]);
-            break;
-        }
-        if (victim == kNoNode || key > victim_key) {
+        if (victim == kNoNode || pos[idx(parent)] > latest_parent) {
           victim = knode;
-          victim_key = key;
+          latest_parent = pos[idx(parent)];
         }
       }
       if (victim == kNoNode) break;  // peak > M but no I/O was forced: done

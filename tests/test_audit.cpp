@@ -22,11 +22,11 @@
 #include "src/core/check.hpp"
 #include "src/core/eviction.hpp"
 #include "src/core/tree.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "src/service/plan_service.hpp"
 #include "src/service/result_cache.hpp"
 #include "src/util/rng.hpp"
+#include "tests/oracles/pager_reference.hpp"
 #include "tests/test_support.hpp"
 
 namespace ooctree {
@@ -123,13 +123,14 @@ TEST(Audit, EngineChecksExecuteUnderAuditBuilds) {
   EXPECT_GT(core::audit_checks_executed(), before)
       << "simulate_parallel_paged must run its internal audits";
 
+  // The sequential paged replay: one worker, sequential order, strict scan.
   const std::uint64_t mid = core::audit_checks_executed();
   const auto fx = test::transient_reservation_fixture();
-  iosim::PagerConfig pc;
-  pc.memory = fx.feasible_memory;
-  const auto stats = iosim::run_pager(fx.tree, fx.schedule, pc);
-  ASSERT_TRUE(stats.feasible);
-  EXPECT_GT(core::audit_checks_executed(), mid) << "run_pager must run its internal audits";
+  const auto paged = test::sequential_paged_replay(fx.tree, fx.schedule, fx.feasible_memory);
+  ASSERT_TRUE(paged.base.feasible);
+  EXPECT_EQ(paged.peak_frames_used, fx.expected_peak_frames);
+  EXPECT_GT(core::audit_checks_executed(), mid)
+      << "the one-worker paged replay must run its internal audits";
 #else
   GTEST_SKIP() << "engine audits compile away without OOCTREE_AUDIT (dev preset has it on)";
 #endif
@@ -152,11 +153,9 @@ TEST(Audit, FailedStartPinRunsCleanUnderAudit) {
 TEST(Audit, TransientReservationPinRunsCleanUnderAudit) {
 #if OOCTREE_AUDIT_ENABLED
   const auto fx = test::transient_reservation_fixture();
-  iosim::PagerConfig pc;
-  pc.memory = fx.feasible_memory;
-  const auto stats = iosim::run_pager(fx.tree, fx.schedule, pc);
-  ASSERT_TRUE(stats.feasible);
-  EXPECT_EQ(stats.peak_frames_used, fx.expected_peak_frames);
+  const auto paged = test::sequential_paged_replay(fx.tree, fx.schedule, fx.feasible_memory);
+  ASSERT_TRUE(paged.base.feasible);
+  EXPECT_EQ(paged.peak_frames_used, fx.expected_peak_frames);
 #else
   GTEST_SKIP() << "requires an OOCTREE_AUDIT build (dev preset)";
 #endif
@@ -192,11 +191,12 @@ TEST(Audit, ConvictsReintroducedReservationLeak) {
 TEST(Audit, ConvictsReintroducedUnreservedTransient) {
 #if OOCTREE_AUDIT_ENABLED
   const core::FaultGuard guard;
-  core::fault::pager.store(1);  // the pager stops reserving head-room again
+  core::fault::pager.store(1);  // the pager oracle stops reserving head-room again
   const auto fx = test::transient_reservation_fixture();
-  iosim::PagerConfig pc;
+  parallel::oracle::PagerConfig pc;
   pc.memory = fx.feasible_memory;
-  EXPECT_THROW((void)iosim::run_pager(fx.tree, fx.schedule, pc), core::AuditError);
+  EXPECT_THROW((void)parallel::oracle::run_pager_reference(fx.tree, fx.schedule, pc),
+               core::AuditError);
 #else
   GTEST_SKIP() << "fault hooks compile away without OOCTREE_AUDIT (dev preset)";
 #endif
@@ -211,7 +211,7 @@ TEST(Audit, ConvictsReintroducedUnreservedTransient) {
 parallel::PagedParallelConfig pipelined_pressure_config(const Tree& t, int depth, int window) {
   parallel::PagedParallelConfig c;
   c.base.workers = 4;
-  c.base.memory = iosim::min_feasible_frames(t, 2) * 2;
+  c.base.memory = parallel::min_feasible_frames(t, 2) * 2;
   c.base.seed = 3;
   c.base.write_queue_depth = depth;
   c.base.prefetch_window = window;

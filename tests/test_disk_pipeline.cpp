@@ -22,7 +22,6 @@
 
 #include <stdexcept>
 
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "test_support.hpp"
 #include "tests/oracles/parallel_reference.hpp"
@@ -53,7 +52,7 @@ PagedParallelConfig paged_config(const ParallelConfig& base, Weight page_size) {
 
 std::int64_t total_pages_of(const Tree& t, Weight page) {
   std::int64_t total = 0;
-  for (const core::NodeId v : t.postorder()) total += iosim::page_count(t.weight(v), page);
+  for (const core::NodeId v : t.postorder()) total += parallel::page_count(t.weight(v), page);
   return total;
 }
 
@@ -71,7 +70,7 @@ TEST(DiskPipeline, ZeroKnobsBitIdenticalToSynchronousEngine) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(40, 14, rng)
                                   : test::small_random_wide_tree(40, 14, rng);
     const Weight page = 3;
-    const Weight min_frames = iosim::min_feasible_frames(t, page);
+    const Weight min_frames = parallel::min_feasible_frames(t, page);
     for (const Weight slack : {Weight{0}, Weight{4}}) {
       for (const int workers : {1, 2, 4, 8}) {
         for (const EvictionPolicy policy : policies) {
@@ -165,7 +164,7 @@ TEST(DiskPipeline, WriteQueueBoundedAndConserving) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(40, 14, rng)
                                   : test::small_random_wide_tree(40, 14, rng);
     const Weight page = 2;
-    const Weight memory = iosim::min_feasible_frames(t, page) * page;
+    const Weight memory = parallel::min_feasible_frames(t, page) * page;
     for (const int workers : {1, 2, 4}) {
       for (const int depth : {1, 2, 4, 1 << 20}) {
         ParallelConfig base;
@@ -213,7 +212,7 @@ TEST(DiskPipeline, StallConservationAndPrefetchLedger) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(48, 14, rng)
                                   : test::small_random_wide_tree(48, 14, rng);
     const Weight page = 2;
-    const Weight memory = (iosim::min_feasible_frames(t, page) + 2) * page;
+    const Weight memory = (parallel::min_feasible_frames(t, page) + 2) * page;
     for (const int workers : {1, 2, 4}) {
       ParallelConfig base;
       base.workers = workers;
@@ -256,7 +255,7 @@ TEST(DiskPipeline, AggressivePrefetchProducesWaste) {
     const Weight page = 2;
     ParallelConfig base;
     base.workers = 4;
-    base.memory = iosim::min_feasible_frames(t, page) * page;
+    base.memory = parallel::min_feasible_frames(t, page) * page;
     base.seed = 3u + static_cast<std::uint64_t>(rep);
     base.write_queue_depth = 4;
     base.prefetch_window = 8;
@@ -288,7 +287,7 @@ TEST(DiskPipeline, PipelineRecoversReadStallInAggregate) {
       ParallelConfig base;
       base.workers = workers;
       base.memory = std::max<Weight>(static_cast<Weight>(workers) * t.min_feasible_memory(),
-                                     iosim::min_feasible_frames(t, page) * page);
+                                     parallel::min_feasible_frames(t, page) * page);
       base.priority = Priority::kSequentialOrder;
       base.backfill_depth = 8;
       base.seed = 17u + static_cast<std::uint64_t>(rep);

@@ -255,25 +255,6 @@ TEST(RecExpandIncremental, MatchesReferenceOnStructuredShapes) {
   }
 }
 
-TEST(RecExpandIncremental, MatchesReferenceUnderAllVictimRules) {
-  util::Rng rng(1237);
-  for (int rep = 0; rep < 8; ++rep) {
-    const Tree t = test::small_random_tree(30, 10, rng);
-    const Weight lb = t.min_feasible_memory();
-    const Weight peak = core::opt_minmem(t).peak;
-    if (peak <= lb) continue;
-    const Weight m = (lb + peak) / 2;
-    for (const core::VictimRule rule :
-         {core::VictimRule::kLatestParent, core::VictimRule::kEarliestParent,
-          core::VictimRule::kLargestIo, core::VictimRule::kFirstScheduled}) {
-      RecExpandOptions opts;
-      opts.victim_rule = rule;
-      expect_same_rec_expand(core::rec_expand(t, m, opts),
-                             core::oracle::rec_expand_reference(t, m, opts));
-    }
-  }
-}
-
 TEST(RecExpandIncremental, MatchesReferenceUnderExpansionCaps) {
   util::Rng rng(1249);
   for (int rep = 0; rep < 8; ++rep) {

@@ -7,7 +7,6 @@
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/perf_profile.hpp"
 #include "src/core/strategies.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/sparse/assembly_tree.hpp"
 #include "src/sparse/generators.hpp"
 #include "src/sparse/ordering.hpp"
@@ -35,11 +34,8 @@ TEST(Integration, GridToScheduledExecution) {
     ASSERT_TRUE(out.evaluation.feasible);
     test::expect_valid_traversal(t, out.schedule, out.evaluation.io, m);
     // Unit-page Belady replay must agree with the analytic evaluation.
-    iosim::PagerConfig pc;
-    pc.memory = m;
-    pc.page_size = 1;
-    const auto replay = iosim::run_pager(t, out.schedule, pc);
-    ASSERT_TRUE(replay.feasible);
+    const auto replay = test::sequential_paged_replay(t, out.schedule, m);
+    ASSERT_TRUE(replay.base.feasible);
     EXPECT_EQ(replay.pages_written, out.evaluation.io_volume) << core::strategy_name(s);
   }
 }

@@ -5,15 +5,16 @@
 //   * page_size = 1 + no disk model  ==  simulate_parallel bit-identically
 //     (the unit engine is that specialization — the test guards the
 //     contract against future re-specialization);
-//   * workers = 1 + sequential order + no backfill  ==  iosim::run_pager's
-//     page-I/O accounting on the same schedule, for every page size;
+//   * workers = 1 + sequential order + no backfill  ==  the sequential
+//     pager oracle's (tests/oracles/pager_reference.hpp) page-I/O
+//     accounting on the same schedule, for every page size;
 //   * the same configuration at page_size = 1  ==  the sequential FiF
 //     simulator's I/O volume and peak.
 // It also reuses the pinned PR 3 fixtures (transient reservation,
-// write-at-most-once thrashing) from test_support.hpp so the pager and the
-// paged parallel engine stay pinned to one accounting, and pins the
-// read-cost model: spilled pages delay dependent task starts by exactly
-// DiskModel::transfer_time. Finally it checks the engine against the
+// write-at-most-once thrashing) from test_support.hpp so the sequential
+// replay and the paged parallel engine stay pinned to one accounting, and
+// pins the read-cost model: spilled pages delay dependent task starts by
+// exactly DiskModel::transfer_time. Finally it checks the engine against the
 // heap-scan oracle (tests/oracles/paged_reference.hpp) field for field on
 // the paths no other reference covers: the disk model, the residency-aware
 // scan, the write queue and the prefetch prediction.
@@ -24,11 +25,11 @@
 
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "test_support.hpp"
 #include "tests/oracles/paged_reference.hpp"
+#include "tests/oracles/pager_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -38,8 +39,6 @@ using core::MemoryModel;
 using core::Schedule;
 using core::Tree;
 using core::Weight;
-using iosim::PagerConfig;
-using iosim::PagerStats;
 using parallel::PagedParallelConfig;
 using parallel::PagedParallelResult;
 using parallel::ParallelConfig;
@@ -108,8 +107,9 @@ TEST(PagedParallel, UnitPageMatchesUnitEngineAcrossSweep) {
 }
 
 // Anchor 2: one worker following the reference order with the strict scan is
-// the sequential paging model — page I/O must match iosim::run_pager on
-// the same schedule for every page size and deterministic policy.
+// the sequential paging model — every page counter must match the
+// sequential pager oracle on the same schedule for every page size and
+// deterministic policy (tests/test_pager.cpp adds kRandom).
 TEST(PagedParallel, SingleWorkerSequentialMatchesPager) {
   util::Rng rng(25013);
   const std::vector<EvictionPolicy> policies{EvictionPolicy::kBelady, EvictionPolicy::kLru,
@@ -119,20 +119,19 @@ TEST(PagedParallel, SingleWorkerSequentialMatchesPager) {
                                   : test::small_random_wide_tree(28, 12, rng);
     const Schedule schedule = core::opt_minmem(t).schedule;
     for (const Weight page : {Weight{1}, Weight{3}, Weight{4}, Weight{7}}) {
-      const Weight min_frames = iosim::min_feasible_frames(t, page);
+      const Weight min_frames = parallel::min_feasible_frames(t, page);
       for (const Weight slack : {Weight{0}, Weight{2}, Weight{6}}) {
         const Weight memory = (min_frames + slack) * page;
         for (const EvictionPolicy policy : policies) {
-          PagerConfig pc;
+          parallel::oracle::PagerConfig pc;
           pc.page_size = page;
           pc.memory = memory;
           pc.policy = policy;
-          const PagerStats pager = iosim::run_pager(t, schedule, pc);
+          const parallel::oracle::PagerStats pager =
+              parallel::oracle::run_pager_reference(t, schedule, pc);
 
-          ParallelConfig base = sequential_config(memory);
-          base.evict = policy;
           const PagedParallelResult paged =
-              simulate_parallel_paged(t, paged_config(base, page), schedule);
+              test::sequential_paged_replay(t, schedule, memory, page, policy);
 
           const std::string label = "rep=" + std::to_string(rep) +
                                     " page=" + std::to_string(page) +
@@ -144,6 +143,7 @@ TEST(PagedParallel, SingleWorkerSequentialMatchesPager) {
           EXPECT_EQ(paged.pages_written, pager.pages_written) << label;
           EXPECT_EQ(paged.pages_read, pager.pages_read) << label;
           EXPECT_EQ(paged.pages_dropped_clean, pager.pages_dropped_clean) << label;
+          EXPECT_EQ(paged.eviction_events, pager.eviction_events) << label;
           EXPECT_EQ(paged.peak_frames_used, pager.peak_frames_used) << label;
           EXPECT_EQ(paged.base.io_volume, pager.write_volume(pc)) << label;
         }
@@ -164,8 +164,7 @@ TEST(PagedParallel, SingleWorkerSequentialUnitPageCollapsesToFif) {
       for (const Weight m : {lb, lb + 4, lb + 12}) {
         const auto fif = core::simulate_fif(t, ref, m);
         ASSERT_TRUE(fif.feasible);
-        const PagedParallelResult r =
-            simulate_parallel_paged(t, paged_config(sequential_config(m), 1), ref);
+        const PagedParallelResult r = test::sequential_paged_replay(t, ref, m);
         ASSERT_TRUE(r.base.feasible);
         EXPECT_EQ(r.base.io_volume, fif.io_volume)
             << "model=" << static_cast<int>(model) << " rep=" << rep << " M=" << m;
@@ -180,14 +179,14 @@ TEST(PagedParallel, SingleWorkerSequentialUnitPageCollapsesToFif) {
 // through the shared fixture: working space is allocated, not head-room.
 TEST(PagedParallel, TransientReservationSharedPin) {
   const auto fx = test::transient_reservation_fixture();
-  const PagedParallelResult ok = simulate_parallel_paged(
-      fx.tree, paged_config(sequential_config(fx.feasible_memory), 1), fx.schedule);
+  const PagedParallelResult ok =
+      test::sequential_paged_replay(fx.tree, fx.schedule, fx.feasible_memory);
   ASSERT_TRUE(ok.base.feasible);
   EXPECT_EQ(ok.peak_frames_used, fx.expected_peak_frames);
   EXPECT_EQ(ok.pages_written, 0);
   EXPECT_EQ(ok.pages_read, 0);
-  const PagedParallelResult bad = simulate_parallel_paged(
-      fx.tree, paged_config(sequential_config(fx.infeasible_memory), 1), fx.schedule);
+  const PagedParallelResult bad =
+      test::sequential_paged_replay(fx.tree, fx.schedule, fx.infeasible_memory);
   EXPECT_FALSE(bad.base.feasible);
 }
 
@@ -196,8 +195,7 @@ TEST(PagedParallel, TransientReservationSharedPin) {
 // agrees with the pager and the analytic counter.
 TEST(PagedParallel, ThrashSharedPinWritesEachPageOnce) {
   const auto fx = test::thrash_fixture();
-  const PagedParallelResult r = simulate_parallel_paged(
-      fx.tree, paged_config(sequential_config(fx.memory), 1), fx.schedule);
+  const PagedParallelResult r = test::sequential_paged_replay(fx.tree, fx.schedule, fx.memory);
   ASSERT_TRUE(r.base.feasible);
   EXPECT_EQ(r.pages_written, fx.expected_pages_written);
   EXPECT_EQ(r.pages_read, fx.expected_pages_read);
@@ -271,7 +269,7 @@ TEST(PagedParallel, PageAccountingInvariants) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(40, 14, rng)
                                   : test::small_random_wide_tree(40, 14, rng);
     for (const Weight page : {Weight{1}, Weight{3}, Weight{8}}) {
-      const Weight memory = (iosim::min_feasible_frames(t, page) + 2) * page;
+      const Weight memory = (parallel::min_feasible_frames(t, page) + 2) * page;
       for (const int workers : {1, 2, 4}) {
         ParallelConfig base;
         base.workers = workers;
@@ -286,7 +284,7 @@ TEST(PagedParallel, PageAccountingInvariants) {
         std::int64_t written_pages = 0;
         for (std::size_t i = 0; i < t.size(); ++i) {
           EXPECT_EQ(r.base.io[i] % page, 0) << label << " node " << i;
-          const Weight cap = iosim::page_count(t.weight(static_cast<core::NodeId>(i)), page);
+          const Weight cap = parallel::page_count(t.weight(static_cast<core::NodeId>(i)), page);
           EXPECT_LE(r.base.io[i] / page, cap) << label << " node " << i << " written twice";
           written_pages += r.base.io[i] / page;
         }
@@ -302,7 +300,7 @@ TEST(PagedParallel, InfeasibleBelowMinFeasibleFrames) {
   util::Rng rng(25071);
   const Tree t = test::small_random_tree(24, 10, rng);
   for (const Weight page : {Weight{2}, Weight{5}}) {
-    const Weight min_frames = iosim::min_feasible_frames(t, page);
+    const Weight min_frames = parallel::min_feasible_frames(t, page);
     for (const int workers : {1, 4}) {
       ParallelConfig base;
       base.workers = workers;
@@ -337,7 +335,7 @@ TEST(PagedParallel, IntMaxKnobsMatchTheirUnboundedEquivalents) {
   const Weight page = 4;
   ParallelConfig base;
   base.workers = 4;
-  base.memory = iosim::min_feasible_frames(t, page) * page * 3 / 2;
+  base.memory = parallel::min_feasible_frames(t, page) * page * 3 / 2;
   base.backfill_depth = 8;
   base.write_queue_depth = 8;
   PagedParallelConfig huge = paged_config(base, page);
@@ -418,7 +416,7 @@ TEST_P(PagedOracle, EngineMatchesHeapScanReference) {
           const Tree& t = trees[static_cast<std::size_t>(combo % 3)];
           const Weight page = pages[machine % 2];
           const double factor = factors[(machine / 2) % 3];
-          const Weight lb = iosim::min_feasible_frames(t, page) * page;
+          const Weight lb = parallel::min_feasible_frames(t, page) * page;
           PagedParallelConfig c;
           c.base.workers = workers[machine / 6];
           c.base.memory = static_cast<Weight>(factor * static_cast<double>(lb));
@@ -461,7 +459,7 @@ TEST_P(SkippedPredictionRounds, MatchHeapScanReference) {
   util::Rng rng(25101);
   const Tree t = treegen::synth_instance(3000, 1, 100, rng);
   const Weight page = 32;
-  const Weight lb = iosim::min_feasible_frames(t, page) * page;
+  const Weight lb = parallel::min_feasible_frames(t, page) * page;
   for (const int workers : {4, 8}) {
     for (const int depth : {0, 8}) {
       for (const int queue : {0, 8}) {

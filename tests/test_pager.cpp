@@ -1,10 +1,15 @@
-// Tests for the page-granular out-of-core simulator and its policies.
+// Tests for the sequential page-granular replay and its eviction policies.
+// The properties run on the paged engine at one worker in a fixed
+// schedule's order with strict priority (test::sequential_paged_replay)
+// and check it against the analytic FiF counter. The PR 3 fixtures pin the
+// sequential pager oracle (tests/oracles/pager_reference.hpp), and one
+// differential holds the engine equal to that oracle.
 #include <gtest/gtest.h>
 
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
-#include "src/iosim/pager.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/pager_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -12,21 +17,25 @@ namespace {
 using core::EvictionPolicy;
 using core::Tree;
 using core::Weight;
-using iosim::PagerConfig;
-using iosim::PagerStats;
-using iosim::run_pager;
+using parallel::PagedParallelResult;
+using parallel::oracle::PagerConfig;
+using parallel::oracle::PagerStats;
+using parallel::oracle::run_pager_reference;
+using test::sequential_paged_replay;
 
-PagerConfig config(Weight memory, EvictionPolicy p, Weight page = 1) {
+PagerConfig oracle_config(Weight memory, EvictionPolicy p = EvictionPolicy::kBelady,
+                          Weight page = 1, std::uint64_t seed = 1) {
   PagerConfig c;
   c.memory = memory;
   c.page_size = page;
   c.policy = p;
+  c.seed = seed;
   return c;
 }
 
 TEST(Pager, BeladyUnitPagesMatchesAnalyticFif) {
-  // The cornerstone cross-validation: with page_size = 1 the pager under
-  // Belady must reproduce core::simulate_fif write-for-write.
+  // The cornerstone cross-validation: with page_size = 1 the sequential
+  // replay under Belady must reproduce core::simulate_fif write-for-write.
   util::Rng rng(901);
   for (int rep = 0; rep < 40; ++rep) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(14, 12, rng)
@@ -35,11 +44,11 @@ TEST(Pager, BeladyUnitPagesMatchesAnalyticFif) {
     const Weight lb = t.min_feasible_memory();
     for (const Weight m : {lb, lb + 3, lb + 10}) {
       const auto fif = core::simulate_fif(t, schedule, m);
-      const PagerStats pager = run_pager(t, schedule, config(m, EvictionPolicy::kBelady));
-      ASSERT_EQ(pager.feasible, fif.feasible);
+      const PagedParallelResult paged = sequential_paged_replay(t, schedule, m);
+      ASSERT_EQ(paged.base.feasible, fif.feasible);
       if (fif.feasible) {
-        EXPECT_EQ(pager.pages_written, fif.io_volume) << t.to_string() << " M=" << m;
-        EXPECT_EQ(pager.pages_read, fif.io_volume) << "reads must mirror writes";
+        EXPECT_EQ(paged.pages_written, fif.io_volume) << t.to_string() << " M=" << m;
+        EXPECT_EQ(paged.pages_read, fif.io_volume) << "reads must mirror writes";
       }
     }
   }
@@ -51,8 +60,8 @@ TEST(Pager, NoIoWithAmpleMemory) {
   const auto schedule = t.postorder();
   for (const EvictionPolicy p : {EvictionPolicy::kBelady, EvictionPolicy::kLru,
                                  EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst}) {
-    const PagerStats s = run_pager(t, schedule, config(100000, p));
-    EXPECT_TRUE(s.feasible);
+    const PagedParallelResult s = sequential_paged_replay(t, schedule, 100000, 1, p);
+    EXPECT_TRUE(s.base.feasible);
     EXPECT_EQ(s.pages_written, 0) << core::eviction_policy_name(p);
   }
 }
@@ -65,12 +74,12 @@ TEST(Pager, BeladyIsNeverBeatenByOtherPolicies) {
     const Tree t = test::small_random_tree(16, 10, rng);
     const auto schedule = core::opt_minmem(t).schedule;
     const Weight m = t.min_feasible_memory() + 4;
-    const auto belady = run_pager(t, schedule, config(m, EvictionPolicy::kBelady));
-    ASSERT_TRUE(belady.feasible);
+    const auto belady = sequential_paged_replay(t, schedule, m);
+    ASSERT_TRUE(belady.base.feasible);
     for (const EvictionPolicy p :
          {EvictionPolicy::kLru, EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst}) {
-      const auto other = run_pager(t, schedule, config(m, p));
-      ASSERT_TRUE(other.feasible) << core::eviction_policy_name(p);
+      const auto other = sequential_paged_replay(t, schedule, m, 1, p);
+      ASSERT_TRUE(other.base.feasible) << core::eviction_policy_name(p);
       EXPECT_GE(other.pages_written, belady.pages_written) << core::eviction_policy_name(p);
     }
   }
@@ -82,67 +91,59 @@ TEST(Pager, PageGranularityRoundsUp) {
   const Tree t = core::make_tree({{core::kNoNode, 1}, {0, 6}, {0, 2}, {2, 8}});
   // Schedule 1, 3, 2, 0. Units: at node 3, active {1:6} + wbar(3)=8.
   // In pages of 4: frames = M/4; datum 1 = 2 pages, leaf 8 = 2 pages.
-  const PagerConfig c = config(14, EvictionPolicy::kBelady, 4);  // 3 frames
-  const PagerStats s = run_pager(t, {1, 3, 2, 0}, c);
-  ASSERT_TRUE(s.feasible);
+  const PagedParallelResult s = sequential_paged_replay(t, {1, 3, 2, 0}, 14, 4);  // 3 frames
+  ASSERT_TRUE(s.base.feasible);
+  EXPECT_EQ(s.frames, 3);
   EXPECT_GT(s.pages_written, 0);
-  EXPECT_EQ(s.pages_written % 1, 0);
-  EXPECT_EQ(s.write_volume(c), s.pages_written * 4);
+  EXPECT_EQ(s.base.io_volume, s.pages_written * 4);
 }
 
 TEST(Pager, InfeasibleWhenWorkingSetExceedsFrames) {
   const Tree t = core::make_tree({{core::kNoNode, 1}, {0, 5}, {0, 6}});
-  const PagerStats s = run_pager(t, {1, 2, 0}, config(10, EvictionPolicy::kBelady));
-  EXPECT_FALSE(s.feasible);
+  EXPECT_FALSE(sequential_paged_replay(t, {1, 2, 0}, 10).base.feasible);
 }
 
 TEST(Pager, RejectsBadSchedule) {
   const Tree t = core::make_tree({{core::kNoNode, 1}, {0, 5}});
-  EXPECT_THROW((void)run_pager(t, {0, 1}, config(10, EvictionPolicy::kBelady)),
-               std::invalid_argument);
-  PagerConfig c = config(10, EvictionPolicy::kBelady);
-  c.page_size = 0;
-  EXPECT_THROW((void)run_pager(t, {1, 0}, c), std::invalid_argument);
+  EXPECT_THROW((void)sequential_paged_replay(t, {0, 1}, 10), std::invalid_argument);
+  EXPECT_THROW((void)sequential_paged_replay(t, {1, 0}, 10, 0), std::invalid_argument);
 }
 
 TEST(Pager, RandomPolicyIsDeterministicPerSeed) {
   util::Rng rng(919);
   const Tree t = test::small_random_tree(16, 10, rng);
   const auto schedule = t.postorder();
-  PagerConfig c = config(t.min_feasible_memory() + 2, EvictionPolicy::kRandom);
-  c.seed = 77;
-  const auto a = run_pager(t, schedule, c);
-  const auto b = run_pager(t, schedule, c);
+  const Weight m = t.min_feasible_memory() + 2;
+  const auto a = sequential_paged_replay(t, schedule, m, 1, EvictionPolicy::kRandom, 77);
+  const auto b = sequential_paged_replay(t, schedule, m, 1, EvictionPolicy::kRandom, 77);
   EXPECT_EQ(a.pages_written, b.pages_written);
   EXPECT_EQ(a.eviction_events, b.eviction_events);
 }
 
 TEST(Pager, TransientReservationPinsPeak) {
-  // The transient working space of a step is *reserved* in frames_used
-  // (seed bug: step 2 only checked the head-room and folded it into
-  // peak_frames_used without allocating it). The fixture is shared with
-  // the paged parallel engine (tests/test_paged_parallel.cpp), so both
-  // engines stay pinned to the same accounting.
+  // The transient working space of a step is *reserved* in the frame
+  // accounting (seed bug: the pager only checked the head-room and folded
+  // it into peak_frames_used without allocating it). The engine runs the
+  // same fixture in tests/test_paged_parallel.cpp; here it pins the oracle,
+  // so the reference the engine is compared against is itself anchored.
   const auto fx = test::transient_reservation_fixture();
-  const PagerStats s =
-      run_pager(fx.tree, fx.schedule, config(fx.feasible_memory, EvictionPolicy::kBelady));
+  const PagerStats s = run_pager_reference(fx.tree, fx.schedule, oracle_config(fx.feasible_memory));
   ASSERT_TRUE(s.feasible);
   EXPECT_EQ(s.peak_frames_used, fx.expected_peak_frames);
   EXPECT_EQ(s.pages_written, 0);
   EXPECT_EQ(s.pages_read, 0);
-  EXPECT_FALSE(run_pager(fx.tree, fx.schedule,
-                         config(fx.infeasible_memory, EvictionPolicy::kBelady))
-                   .feasible);
+  EXPECT_FALSE(
+      run_pager_reference(fx.tree, fx.schedule, oracle_config(fx.infeasible_memory)).feasible);
 }
 
 TEST(Pager, ThrashedDatumWritesEachPageOnce) {
   // Satellite bug: every eviction charged pages_written, conflating write
   // volume with eviction events (see test::thrash_fixture for the exact
-  // construction, shared with the paged parallel engine).
+  // construction, shared with the paged parallel engine's suite). Pins
+  // the oracle, as above.
   const auto fx = test::thrash_fixture();
   ASSERT_EQ(fx.tree.min_feasible_memory(), fx.memory);
-  const PagerStats s =
-      run_pager(fx.tree, fx.schedule, config(fx.memory, EvictionPolicy::kBelady));
+  const PagerStats s = run_pager_reference(fx.tree, fx.schedule, oracle_config(fx.memory));
   ASSERT_TRUE(s.feasible);
   EXPECT_EQ(s.eviction_events, fx.expected_eviction_events);
   EXPECT_EQ(s.pages_written, fx.expected_pages_written)
@@ -160,9 +161,50 @@ TEST(Pager, PeakFramesBounded) {
   util::Rng rng(929);
   const Tree t = test::small_random_tree(16, 10, rng);
   const Weight m = t.min_feasible_memory() + 5;
-  const auto s = run_pager(t, t.postorder(), config(m, EvictionPolicy::kLru));
-  ASSERT_TRUE(s.feasible);
+  const auto s = sequential_paged_replay(t, t.postorder(), m, 1, EvictionPolicy::kLru);
+  ASSERT_TRUE(s.base.feasible);
   EXPECT_LE(s.peak_frames_used, m);  // page_size 1: frames == units
+}
+
+// The differential: the engine's one-worker replay against the step-loop
+// oracle, every counter both report, under every policy — kRandom included,
+// so the two replays must also draw their victims from the RNG in the same
+// sequence.
+TEST(Pager, EngineMatchesSequentialPagerOracle) {
+  util::Rng rng(937);
+  for (int rep = 0; rep < 8; ++rep) {
+    const Tree t = (rep % 2 == 0) ? test::small_random_tree(24, 12, rng)
+                                  : test::small_random_wide_tree(24, 12, rng);
+    const auto schedule = core::opt_minmem(t).schedule;
+    for (const Weight page : {Weight{1}, Weight{3}, Weight{5}}) {
+      const Weight min_frames = parallel::min_feasible_frames(t, page);
+      for (const Weight slack : {Weight{-1}, Weight{0}, Weight{3}}) {
+        const Weight memory = (min_frames + slack) * page;
+        for (const EvictionPolicy p : {EvictionPolicy::kBelady, EvictionPolicy::kLru,
+                                       EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst}) {
+          const std::uint64_t rep_seed = static_cast<std::uint64_t>(rep) + 40;
+          for (const std::uint64_t seed : {std::uint64_t{1}, rep_seed}) {
+            const PagerConfig pc = oracle_config(memory, p, page, seed);
+            const PagerStats oracle = run_pager_reference(t, schedule, pc);
+            const auto engine = sequential_paged_replay(t, schedule, memory, page, p, seed);
+            const std::string label = "rep=" + std::to_string(rep) +
+                                      " page=" + std::to_string(page) +
+                                      " slack=" + std::to_string(slack) +
+                                      " policy=" + core::eviction_policy_name(p) +
+                                      " seed=" + std::to_string(seed);
+            ASSERT_EQ(engine.base.feasible, oracle.feasible) << label;
+            if (!oracle.feasible) continue;
+            EXPECT_EQ(engine.pages_written, oracle.pages_written) << label;
+            EXPECT_EQ(engine.pages_read, oracle.pages_read) << label;
+            EXPECT_EQ(engine.eviction_events, oracle.eviction_events) << label;
+            EXPECT_EQ(engine.pages_dropped_clean, oracle.pages_dropped_clean) << label;
+            EXPECT_EQ(engine.peak_frames_used, oracle.peak_frames_used) << label;
+            EXPECT_EQ(engine.base.io_volume, oracle.write_volume(pc)) << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

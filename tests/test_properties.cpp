@@ -16,9 +16,7 @@
 #include "src/core/minmem_postorder.hpp"
 #include "src/core/rec_expand.hpp"
 #include "src/core/atomic_io.hpp"
-#include "src/core/local_search.hpp"
 #include "src/core/strategies.hpp"
-#include "src/iosim/pager.hpp"
 #include "test_support.hpp"
 
 namespace ooctree {
@@ -198,13 +196,10 @@ TEST_P(InvariantSweep, PagerBeladyAgreesWithFif) {
   const Weight m = t.min_feasible_memory() + 7;
   const auto schedule = core::opt_minmem(t).schedule;
   const auto fif = core::simulate_fif(t, schedule, m);
-  iosim::PagerConfig config;
-  config.memory = m;
-  config.page_size = 1;
-  const auto pager = iosim::run_pager(t, schedule, config);
-  ASSERT_EQ(pager.feasible, fif.feasible);
+  const auto paged = test::sequential_paged_replay(t, schedule, m);
+  ASSERT_EQ(paged.base.feasible, fif.feasible);
   if (fif.feasible) {
-    EXPECT_EQ(pager.pages_written, fif.io_volume);
+    EXPECT_EQ(paged.pages_written, fif.io_volume);
   }
 }
 
@@ -265,8 +260,7 @@ INSTANTIATE_TEST_SUITE_P(UnitWeights, HomogeneousSweep,
                          });
 
 // ---------------------------------------------------------------------------
-// Extension sweeps: atomic writes, local search and the parallel simulator
-// under the same family x size x seed grid.
+// Extension sweep: atomic writes under the same family x size x seed grid.
 // ---------------------------------------------------------------------------
 
 using ExtensionParams = std::tuple<Family, int /*n*/, int /*seed*/>;
@@ -302,25 +296,6 @@ TEST_P(ExtensionSweep, AtomicDominatesFractional) {
   EXPECT_LE(heuristic.io_volume, atomic.io_volume)
       << "the multi-schedule heuristic includes the FiF-atomic baseline";
   test::expect_valid_traversal(t, schedule, atomic.io, m);
-}
-
-TEST_P(ExtensionSweep, PolishNeverWorse) {
-  const auto [family, n, seed] = GetParam();
-  if (never_needs_io(family)) return expect_needs_no_io(draw(seed));
-  const std::optional<Tree> sample = make_needing_io();
-  ASSERT_TRUE(sample.has_value()) << "no draw needs I/O";
-  const Tree& t = *sample;
-  const Weight lb = t.min_feasible_memory();
-  const Weight peak = core::opt_minmem(t).peak;
-  const Weight m = (lb + peak) / 2;
-  const auto base = core::run_strategy(core::Strategy::kPostOrderMinIo, t, m);
-  core::PolishOptions opts;
-  opts.max_evaluations = 300;
-  opts.patience = 200;
-  const auto polished = core::polish_schedule(t, base.schedule, m, opts);
-  EXPECT_LE(polished.io_after, polished.io_before);
-  EXPECT_EQ(polished.io_before, base.io_volume());
-  EXPECT_EQ(core::simulate_fif(t, polished.schedule, m).io_volume, polished.io_after);
 }
 
 INSTANTIATE_TEST_SUITE_P(

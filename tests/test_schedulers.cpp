@@ -20,7 +20,6 @@
 
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
-#include "src/iosim/pager.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "test_support.hpp"
 #include "tests/oracles/parallel_reference.hpp"
@@ -110,11 +109,11 @@ TEST(Schedulers, ResidencyAwareKeepsPagedInvariants) {
     const Tree t = (rep % 2 == 0) ? test::small_random_tree(34, 12, rng)
                                   : test::small_random_wide_tree(34, 12, rng);
     for (const Weight page : {Weight{1}, Weight{3}, Weight{5}}) {
-      const Weight min_frames = iosim::min_feasible_frames(t, page);
+      const Weight min_frames = parallel::min_feasible_frames(t, page);
       // Total pages of the whole tree: the write-at-most-once cap.
       Weight total_pages = 0;
       for (std::size_t i = 0; i < t.size(); ++i)
-        total_pages += iosim::page_count(t.weight(static_cast<core::NodeId>(i)), page);
+        total_pages += parallel::page_count(t.weight(static_cast<core::NodeId>(i)), page);
       for (const Weight slack : {Weight{0}, Weight{3}}) {
         for (const int depth : {0, 2}) {
           for (const int workers : {2, 4}) {

@@ -52,9 +52,28 @@ inline core::Weight checked_fif_io(const core::Tree& tree, const core::Schedule&
   return r.io_volume;
 }
 
+/// The sequential paged replay: the paged engine at one worker following
+/// `schedule` with strict priority (backfill_depth 1), the model of the
+/// sequential pager oracle (tests/oracles/pager_reference.hpp).
+inline parallel::PagedParallelResult sequential_paged_replay(
+    const core::Tree& tree, const core::Schedule& schedule, core::Weight memory,
+    core::Weight page_size = 1, core::EvictionPolicy policy = core::EvictionPolicy::kBelady,
+    std::uint64_t seed = 1) {
+  parallel::PagedParallelConfig c;
+  c.base.workers = 1;
+  c.base.memory = memory;
+  c.base.priority = parallel::Priority::kSequentialOrder;
+  c.base.backfill_depth = 1;
+  c.base.evict = policy;
+  c.base.seed = seed;
+  c.page_size = page_size;
+  return parallel::simulate_parallel_paged(tree, c, schedule);
+}
+
 /// Pinned fixture for the transient-reservation accounting fix (PR 3),
-/// shared by the sequential pager (tests/test_pager.cpp) and the paged
-/// parallel engine (tests/test_paged_parallel.cpp): working space must be
+/// shared by the sequential replay (tests/test_pager.cpp), the pager
+/// oracle and the paged parallel engine (tests/test_paged_parallel.cpp,
+/// tests/test_audit.cpp): working space must be
 /// *reserved* in the frame accounting, not just checked as head-room. With
 /// root wbar = 10 the leaf output (2) plus the root's transient extra (8)
 /// peaks at exactly 10 allocated frames with zero I/O — and one unit less
