@@ -27,6 +27,16 @@ struct FifResult {
 /// Runs sigma under memory bound M with FiF evictions and returns the
 /// optimal tau for that schedule. The schedule must be topological
 /// (checked; throws std::invalid_argument otherwise).
+///
+/// Evictions go to the active datum whose parent runs latest, the larger
+/// id on a tie between siblings. Nothing is evicted before memory first
+/// binds, so up to that step only the in-core volume is tracked, from the
+/// children's sums; the eviction heap is built from the active set at the
+/// first binding step (keys are distinct, so the victims are those of a
+/// heap kept from the start). When the schedule is infeasible
+/// (`feasible == false`), the other fields hold what was accumulated up
+/// to the offending step. tests/oracles/fif_reference.hpp is the plain
+/// std::set version this must match field for field.
 [[nodiscard]] FifResult simulate_fif(const Tree& tree, const Schedule& schedule, Weight memory);
 
 /// Convenience: the I/O volume of a schedule under FiF, or -1 if infeasible.

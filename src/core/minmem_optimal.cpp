@@ -136,33 +136,6 @@ void IncrementalMinMem::combine(const Tree& tree, NodeId u, bool release_childre
   }
 }
 
-void IncrementalMinMem::ensure(const Tree& tree, NodeId r) {
-  reserve(tree.size());
-  if (has(r)) return;
-  // Iterative DFS that never descends into cached subtrees: a valid node's
-  // whole subtree is valid (combines happen bottom-up), so the visit count
-  // is proportional to the newly combined nodes only.
-  dfs_.clear();
-  dfs_.emplace_back(r, 0);
-  while (!dfs_.empty()) {
-    auto& [node, next_child] = dfs_.back();
-    const auto kids = tree.children(node);
-    bool descended = false;
-    while (next_child < kids.size()) {
-      const NodeId c = kids[next_child++];
-      if (!has(c)) {
-        dfs_.emplace_back(c, 0);
-        descended = true;
-        break;
-      }
-    }
-    if (descended) continue;
-    const NodeId done = node;
-    dfs_.pop_back();
-    combine(tree, done, /*release_children=*/false);
-  }
-}
-
 void IncrementalMinMem::extract_schedule(NodeId u, Schedule& out) const {
   for (const Segment& s : sequence(u)) {
     for (NodeId x = s.head;; x = next_[idx(x)]) {

@@ -119,11 +119,6 @@ class IncrementalMinMem {
   /// the pool's tail (the one-shot postorder of opt_minmem).
   void combine(const Tree& tree, NodeId u, bool release_children = false);
 
-  /// Combines every not-yet-cached node of subtree(r), bottom-up; nodes
-  /// with a valid cache are skipped without descending into them (their
-  /// whole subtree is guaranteed cached). O(newly combined nodes).
-  void ensure(const Tree& tree, NodeId r);
-
   /// Optimal peak of subtree(u); requires has(u). O(1): hills strictly
   /// decrease, so the first segment's hill is the peak.
   [[nodiscard]] Weight peak(NodeId u) const {
@@ -131,7 +126,7 @@ class IncrementalMinMem {
   }
 
   /// The cached normalized sequence of u; requires has(u). The view is
-  /// invalidated by the next combine() or ensure().
+  /// invalidated by the next combine().
   [[nodiscard]] std::span<const Segment> sequence(NodeId u) const {
     const Slice& s = slice_[static_cast<std::size_t>(u)];
     return {pool_.data() + s.offset, s.len};
@@ -165,7 +160,6 @@ class IncrementalMinMem {
   };
   std::vector<Head> heap_;
   std::vector<Weight> resident_;
-  std::vector<std::pair<NodeId, std::size_t>> dfs_;
   std::vector<Segment> spare_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "src/core/minmem_optimal.hpp"
 
@@ -12,133 +14,164 @@ namespace {
 
 std::size_t idx(NodeId i) { return static_cast<std::size_t>(i); }
 
-/// Scratch buffers for the incremental expand-and-retry loop, reused
-/// across iterations so the hot path performs no steady-state allocation.
-struct SubtreeScratch {
-  Schedule post;                  // rank -> expanded id (subtree postorder)
-  std::vector<NodeId> rank_of;    // expanded id -> rank (subtree entries only)
-  Schedule sched;                 // optimal schedule, expanded ids
-  std::vector<std::size_t> pos;   // rank -> schedule position
-  std::vector<Weight> resident;   // rank -> resident units of the node's output
-  std::vector<Weight> io;         // rank -> FiF write amount
-  std::vector<char> in_active;    // rank -> currently in the active set
-  std::vector<std::uint64_t> heap;  // packed (parent_step << 32 | rank) max-heap
-  std::vector<std::pair<NodeId, std::size_t>> dfs;  // postorder walk stack
+/// Active-set entry of the subtree FiF: the step at which the datum's
+/// parent consumes it in the high half of `key`, the datum's slot in that
+/// parent's child span in the low half. FiF evicts the max key.
+struct ActiveEntry {
+  std::uint64_t key = 0;
+  NodeId node = kNoNode;
+  bool operator<(const ActiveEntry& o) const { return key < o.key; }
 };
 
-/// v.assign(s, value) with geometric capacity growth: the processed
-/// subtrees grow one expansion at a time, and an exact-fit assign would
-/// reallocate on every iteration.
+/// Per-node state of the subtree FiF, kept together so a step touches one
+/// cache line per node.
+struct NodeState {
+  Weight resident = 0;     // resident units of the node's output
+  Weight io = 0;           // FiF write amount
+  std::uint32_t pos = 0;   // schedule position
+  std::uint32_t slot = 0;  // position in its parent's child span
+  bool in_active = false;  // currently in the active set
+};
+
+/// Scratch buffers for the expand-and-retry loop, indexed by expanded-tree
+/// id and reused across iterations, so the hot path performs no
+/// steady-state allocation. An iteration touches only the entries of the
+/// nodes its schedule runs.
+struct SubtreeScratch {
+  Schedule sched;                 // the engine's optimal schedule of the subtree
+  std::vector<NodeState> state;   // id -> FiF state
+  std::vector<ActiveEntry> heap;  // lazy-deletion max-heap of active data
+};
+
+/// Grows v to at least s entries with geometric capacity growth: the tree
+/// grows one expansion at a time, and an exact-fit resize would reallocate
+/// on every iteration. Callers write an entry before they read it.
 template <typename T>
-void reset(std::vector<T>& v, std::size_t s, T value) {
+void grow(std::vector<T>& v, std::size_t s) {
+  if (v.size() >= s) return;
   if (v.capacity() < s) v.reserve(std::max(s, 2 * v.capacity()));
-  v.assign(s, value);
+  v.resize(s);
 }
 
-/// scratch.post = tree.postorder(sr), into the reused buffers.
-void subtree_postorder(const Tree& tree, NodeId sr, SubtreeScratch& scratch) {
-  scratch.post.clear();
-  scratch.dfs.clear();
-  scratch.dfs.emplace_back(sr, 0);
-  while (!scratch.dfs.empty()) {
-    auto& [node, next_child] = scratch.dfs.back();
-    const auto kids = tree.children(node);
-    if (next_child < kids.size()) {
-      const NodeId c = kids[next_child++];
-      scratch.dfs.emplace_back(c, 0);
-    } else {
-      scratch.post.push_back(node);
-      scratch.dfs.pop_back();
+/// FiF simulation of `scratch.sched`, the optimal schedule of subtree(sr),
+/// on the tree's own ids. Returns the victim of Algorithm 2, line 6: the
+/// FiF-positive node whose parent is scheduled latest, the first sibling
+/// on a tie, or kNoNode when no I/O is forced.
+///
+/// The reference path runs simulate_fif on the standalone subtree that
+/// Tree::subtree extracts, whose ids are postorder ranks. Active keys
+/// differ only between siblings, and a postorder visits siblings in span
+/// order, so ordering siblings by their slot in the parent's child span
+/// evicts exactly as the reference does: the resulting tau is the same bit
+/// for bit. The victim is tracked as evictions happen instead of by a scan
+/// afterwards. Mirrors simulate_fif's infeasibility behaviour: on budget
+/// underflow it stops at once, and the victim reflects the partial io.
+NodeId subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& scratch) {
+  grow(scratch.state, tree.size());
+  NodeState* const state = scratch.state.data();
+  const Schedule& sched = scratch.sched;
+  const std::size_t steps = sched.size();
+
+  // As in simulate_fif, nothing is evicted before memory first binds, so up
+  // to that step only the in-core volume is tracked, from child sums.
+  std::size_t first = 0;
+  Weight in_core = 0;
+  for (; first < steps; ++first) {
+    const NodeId node = sched[first];
+    state[idx(node)].pos = static_cast<std::uint32_t>(first);
+    in_core -= tree.child_weight_sum(node);
+    if (in_core + tree.wbar(node) > memory) break;
+    in_core += tree.weight(node);
+  }
+  if (first == steps) return kNoNode;
+
+  // The heap starts as the active set of the binding step: the outputs
+  // computed before it whose parent runs at that step or later. Children
+  // run before their parent, so a child's position is set by the time its
+  // parent's step is visited here.
+  std::vector<ActiveEntry>& heap = scratch.heap;
+  heap.clear();
+  Weight active_resident = 0;
+  for (std::size_t t = first; t < steps; ++t) {
+    state[idx(sched[t])].pos = static_cast<std::uint32_t>(t);
+    const auto kids = tree.children(sched[t]);
+    for (std::size_t k = 0; k < kids.size(); ++k) {
+      NodeState& cs = state[idx(kids[k])];
+      cs.slot = static_cast<std::uint32_t>(k);
+      if (cs.pos >= first) continue;  // enters the active set when it runs
+      cs.resident = tree.weight(kids[k]);
+      cs.io = 0;
+      cs.in_active = true;
+      active_resident += cs.resident;
+      heap.push_back({static_cast<std::uint64_t>(t) << 32 | k, kids[k]});
     }
   }
-}
+  std::make_heap(heap.begin(), heap.end());
+  NodeId victim = kNoNode;
+  std::uint64_t victim_key = 0;
 
-/// FiF simulation of `scratch.sched` restricted to subtree(sr) of the
-/// expanded tree, in the *rank* domain — rank k is exactly the id node
-/// post[k] would have in the standalone subtree the reference path
-/// extracts, so eviction tie-breaking (and therefore the resulting tau)
-/// matches simulate_fif on that subtree bit for bit. The active set is a
-/// lazy-deletion max-heap instead of std::set. Mirrors simulate_fif's
-/// infeasibility behaviour: on budget underflow it returns immediately,
-/// keeping the partial io accumulated so far.
-void subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& scratch) {
-  const std::size_t s = scratch.post.size();
-  reset<std::size_t>(scratch.pos, s, 0);
-  for (std::size_t t = 0; t < s; ++t) scratch.pos[idx(scratch.rank_of[idx(scratch.sched[t])])] = t;
-  reset<Weight>(scratch.resident, s, 0);
-  reset<Weight>(scratch.io, s, 0);
-  reset<char>(scratch.in_active, s, 0);
-  scratch.heap.clear();
-  Weight active_resident = 0;
-
-  for (std::size_t t = 0; t < s; ++t) {
-    const NodeId node = scratch.sched[t];
-    const NodeId rank = scratch.rank_of[idx(node)];
+  for (std::size_t t = first; t < steps; ++t) {
+    const NodeId node = sched[t];
 
     // The children of `node` are consumed now: bring evicted parts back
     // (reads are not counted; write volume was charged at eviction time)
     // and remove them from the active set.
     for (const NodeId c : tree.children(node)) {
-      const NodeId crank = scratch.rank_of[idx(c)];
-      if (scratch.resident[idx(crank)] > 0) {
-        scratch.in_active[idx(crank)] = 0;
-        active_resident -= scratch.resident[idx(crank)];
+      NodeState& cs = state[idx(c)];
+      if (cs.resident > 0) {
+        cs.in_active = false;
+        active_resident -= cs.resident;
       }
-      scratch.resident[idx(crank)] = tree.weight(c);  // fully read back for execution
+      cs.resident = tree.weight(c);  // fully read back for execution
     }
 
     // Memory required while executing `node`: its own transient wbar plus
     // everything else resident. Evict furthest-in-the-future data first.
     const Weight budget = memory - tree.wbar(node);
-    if (budget < 0) return;  // infeasible within the subtree: keep partial io
+    if (budget < 0) break;  // infeasible within the subtree: keep partial io
     while (active_resident > budget) {
-      const auto vrank = static_cast<NodeId>(scratch.heap.front() & 0xffffffffu);
-      if (!scratch.in_active[idx(vrank)]) {  // stale (consumed or fully evicted)
-        std::pop_heap(scratch.heap.begin(), scratch.heap.end());
-        scratch.heap.pop_back();
+      const ActiveEntry top = heap.front();
+      NodeState& vs = state[idx(top.node)];
+      if (!vs.in_active) {  // stale (consumed or fully evicted)
+        std::pop_heap(heap.begin(), heap.end());
+        heap.pop_back();
         continue;
       }
       const Weight excess = active_resident - budget;
-      const Weight amount = std::min(excess, scratch.resident[idx(vrank)]);
-      scratch.resident[idx(vrank)] -= amount;
+      const Weight amount = std::min(excess, vs.resident);
+      if (amount > 0) {
+        // Latest parent first; among siblings, the first slot.
+        const std::uint64_t step_of = top.key >> 32;
+        if (victim == kNoNode || step_of > victim_key >> 32 ||
+            (step_of == victim_key >> 32 && top.key < victim_key)) {
+          victim = top.node;
+          victim_key = top.key;
+        }
+      }
+      vs.resident -= amount;
       active_resident -= amount;
-      scratch.io[idx(vrank)] += amount;
-      if (scratch.resident[idx(vrank)] == 0) {
-        scratch.in_active[idx(vrank)] = 0;
-        std::pop_heap(scratch.heap.begin(), scratch.heap.end());
-        scratch.heap.pop_back();
+      vs.io += amount;
+      if (vs.resident == 0) {
+        vs.in_active = false;
+        std::pop_heap(heap.begin(), heap.end());
+        heap.pop_back();
       }
     }
 
     // The node's output is now resident; it becomes active until its parent
-    // runs (the subtree root's output simply stays resident).
-    scratch.resident[idx(rank)] = tree.weight(node);
+    // runs (the subtree root's output simply stays resident). A node's
+    // other fields are written here, or when the heap is built for the
+    // outputs active at the binding step, before anything in this run reads
+    // them.
+    NodeState& ns = state[idx(node)];
+    ns.resident = tree.weight(node);
+    ns.io = 0;
     if (node != sr) {
-      const NodeId prank = scratch.rank_of[idx(tree.parent(node))];
-      scratch.heap.push_back(static_cast<std::uint64_t>(scratch.pos[idx(prank)]) << 32 |
-                             static_cast<std::uint32_t>(rank));
-      std::push_heap(scratch.heap.begin(), scratch.heap.end());
-      scratch.in_active[idx(rank)] = 1;
+      const std::uint32_t parent_step = state[idx(tree.parent(node))].pos;
+      heap.push_back({static_cast<std::uint64_t>(parent_step) << 32 | ns.slot, node});
+      std::push_heap(heap.begin(), heap.end());
+      ns.in_active = true;
       active_resident += tree.weight(node);
-    }
-  }
-}
-
-/// The victim-selection scan of Algorithm 2, line 6: the FiF-positive node
-/// whose parent is scheduled latest, the first one on a tie. Runs in the
-/// rank domain (identical iteration order and keys as the reference path's
-/// scan over sub ids).
-NodeId select_victim(const Tree& tree, const SubtreeScratch& scratch) {
-  NodeId victim = kNoNode;
-  std::size_t latest_parent = 0;
-  for (std::size_t k = 0; k < scratch.io.size(); ++k) {
-    if (scratch.io[k] <= 0) continue;
-    // tau > 0 => non-root of the subtree, so the parent is inside it.
-    const NodeId prank = scratch.rank_of[idx(tree.parent(scratch.post[k]))];
-    const std::size_t parent_pos = scratch.pos[idx(prank)];
-    if (victim == kNoNode || parent_pos > latest_parent) {
-      victim = static_cast<NodeId>(k);
-      latest_parent = parent_pos;
     }
   }
   return victim;
@@ -156,73 +189,59 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
 RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptions& options) {
   RecExpandResult result;
 
-  ExpandedTree expanded = ExpandedTree::identity(tree);
-  // top_rep[r]: the highest node of the expanded tree whose origin is r
-  // (the outermost i3 once r's data has been expanded). The expanded
-  // counterpart of the original subtree rooted at r is rooted there.
-  std::vector<NodeId> top_rep(tree.size());
-  for (std::size_t k = 0; k < tree.size(); ++k) top_rep[k] = static_cast<NodeId>(k);
+  // The engine plans the original tree until the first expansion, which
+  // creates the expanded copy. Expansion only appends ids, so every id the
+  // engine has cached means the same node in the copy. When nothing is
+  // expanded, the copy is never made.
+  std::optional<ExpandedTree> expanded;
+  const Tree* current = &tree;
 
   IncrementalMinMem engine;
   engine.reserve(tree.size());
   SubtreeScratch scratch;
   std::size_t total_expansions = 0;
 
-  const std::vector<NodeId> order = tree.postorder();
-  for (const NodeId r : order) {
+  // A victim is never the root of the subtree being processed (it has
+  // tau > 0, hence a parent inside it), and a postorder processes every
+  // node before its ancestors. So when r's turn comes, neither r nor its
+  // children have been expanded: the expanded subtree of r is rooted at r
+  // itself, and r's children are cached.
+  for (const NodeId r : tree.postorder()) {
     // Expand-and-retry loop of Algorithm 2 on the (expanded) subtree of r.
-    // sr is stable across the loop: the victim always has tau > 0, hence a
-    // parent inside the subtree, so it is never the subtree root itself.
-    const NodeId sr = top_rep[idx(r)];
-    // Combines only the not-yet-cached nodes: in this postorder, r itself
-    // plus whatever an expansion below left dirty. The engine's peak is the
-    // subtree's exact optimal peak, so a subtree that fits is skipped by the
-    // loop's first test. When r's original subtree already fits, nothing
-    // below r was ever expanded (peaks are monotone along the tree), so the
-    // expanded subtree is the original one and is skipped exactly as an
-    // up-front pass over the original peaks would skip it.
-    engine.ensure(expanded.tree, sr);
+    // The engine's peak is the subtree's exact optimal peak, so a subtree
+    // that fits is skipped by the loop's first test. When r's original
+    // subtree already fits, nothing below r was ever expanded (peaks are
+    // monotone along the tree), so the expanded subtree is the original one
+    // and is skipped exactly as an up-front pass over the original peaks
+    // would skip it.
+    engine.combine(*current, r);
     std::size_t node_expansions = 0;
     for (;;) {
-      if (engine.peak(sr) <= memory) break;
+      if (engine.peak(r) <= memory) break;
       if (node_expansions >= options.max_expansions_per_node) break;
       if (total_expansions >= options.global_expansion_cap) break;
 
-      // Rank mapping: rank k == the id node post[k] would carry in the
-      // standalone Tree the reference path extracts with Tree::subtree.
-      subtree_postorder(expanded.tree, sr, scratch);
-      if (scratch.rank_of.size() < expanded.tree.size())
-        scratch.rank_of.resize(expanded.tree.size(), kNoNode);
-      for (std::size_t k = 0; k < scratch.post.size(); ++k)
-        scratch.rank_of[idx(scratch.post[k])] = static_cast<NodeId>(k);
-
       // FiF on the cached optimal schedule identifies where I/O is
-      // unavoidable; force the victim selected by the configured rule into
-      // the tree (the paper: the node whose parent executes latest).
+      // unavoidable; force its victim into the tree (the paper: the node
+      // whose parent executes latest).
       scratch.sched.clear();
-      engine.extract_schedule(sr, scratch.sched);
-      subtree_fif(expanded.tree, sr, memory, scratch);
-      const NodeId victim = select_victim(expanded.tree, scratch);
+      engine.extract_schedule(r, scratch.sched);
+      const NodeId victim = subtree_fif(*current, r, memory, scratch);
       if (victim == kNoNode) break;  // peak > M but no I/O was forced: done
 
-      const NodeId victim_in_expanded = scratch.post[idx(victim)];
-      const NodeId victim_origin = expanded.origin[idx(victim_in_expanded)];
-      const bool was_top = victim_in_expanded == top_rep[idx(victim_origin)];
-      const auto [i2, i3] =
-          expanded.expand_in_place(victim_in_expanded, scratch.io[idx(victim)]);
+      if (!expanded) {
+        expanded.emplace(ExpandedTree::identity(tree));
+        current = &expanded->tree;
+      }
+      const auto [i2, i3] = expanded->expand_in_place(victim, scratch.state[idx(victim)].io);
       // Dirty path: the expansion changed the tree only along
       // victim -> i2 -> i3 -> old parent; every node's cached sequence
       // outside that ancestor path is still exact. Recombine bottom-up.
-      engine.combine(expanded.tree, i2);
-      engine.combine(expanded.tree, i3);
-      for (NodeId u = expanded.tree.parent(i3);; u = expanded.tree.parent(u)) {
-        engine.combine(expanded.tree, u);
-        if (u == sr) break;
-      }
-      if (was_top) {
-        // The new i3 — appended last — replaces the victim at the top of
-        // its origin's expansion chain.
-        top_rep[idx(victim_origin)] = i3;
+      engine.combine(*current, i2);
+      engine.combine(*current, i3);
+      for (NodeId u = current->parent(i3);; u = current->parent(u)) {
+        engine.combine(*current, u);
+        if (u == r) break;
       }
       ++node_expansions;
       ++total_expansions;
@@ -230,16 +249,20 @@ RecExpandResult rec_expand(const Tree& tree, Weight memory, const RecExpandOptio
   }
 
   // Final OptMinMem of the fully expanded tree, straight from the cache:
-  // only the nodes above the processed subtrees still need combining.
-  const NodeId root = expanded.tree.root();
-  engine.ensure(expanded.tree, root);
+  // the root is never expanded, and its turn came last.
+  const NodeId root = tree.root();
   result.final_peak = engine.peak(root);
-  Schedule final_schedule;
-  final_schedule.reserve(expanded.tree.size());
-  engine.extract_schedule(root, final_schedule);
-  result.schedule = expanded.map_schedule(final_schedule);
+  if (expanded) {
+    Schedule final_schedule;
+    final_schedule.reserve(current->size());
+    engine.extract_schedule(root, final_schedule);
+    result.schedule = expanded->map_schedule(final_schedule);
+    result.expansion_volume = expanded->expansion_volume;
+  } else {
+    result.schedule.reserve(tree.size());
+    engine.extract_schedule(root, result.schedule);
+  }
   result.evaluation = simulate_fif(tree, result.schedule, memory);
-  result.expansion_volume = expanded.expansion_volume;
   result.expansions = total_expansions;
   return result;
 }

@@ -66,6 +66,22 @@ struct RecExpandResult {
 /// is skipped; since peaks are monotone along the tree, nothing below it
 /// was expanded either, so this is exactly the test against the original
 /// tree's peaks.
+///
+/// The run pays only for the expansions it makes:
+///   * The engine plans the original tree; the ExpandedTree copy is made
+///     at the first expansion. Expansion only appends ids, so the
+///     engine's cached sequences stay valid in the copy. Without an
+///     expansion (M at or above the OptMinMem peak) the result is
+///     OptMinMem's schedule, returned without a copy or map_schedule.
+///   * The per-iteration FiF works on the expanded tree's ids and touches
+///     only the nodes of the subtree's schedule. Siblings tie-break by
+///     their slot in the parent's child span — the reference's postorder
+///     rank order — and the victim (latest parent, then first slot) is
+///     tracked as evictions happen. As in simulate_fif, the steps before
+///     memory first binds track only the in-core volume, and the eviction
+///     heap is built from the active set at that step.
+///   * `evaluation` is the FiF of the returned schedule; run_strategy
+///     passes it on instead of simulating again.
 [[nodiscard]] RecExpandResult rec_expand(const Tree& tree, Weight memory,
                                          const RecExpandOptions& options);
 

@@ -1,6 +1,7 @@
 #include "src/core/strategies.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/minio_postorder.hpp"
 #include "src/core/minmem_optimal.hpp"
@@ -49,11 +50,15 @@ StrategyOutcome run_strategy(Strategy s, const Tree& tree, Weight memory) {
       out.schedule = opt_minmem(tree).schedule;
       break;
     case Strategy::kRecExpand:
-      out.schedule = rec_expand2(tree, memory).schedule;
-      break;
-    case Strategy::kFullRecExpand:
-      out.schedule = full_rec_expand(tree, memory).schedule;
-      break;
+    case Strategy::kFullRecExpand: {
+      // RecExpand ends with the FiF evaluation of its schedule under this
+      // same bound; reuse it instead of simulating again.
+      RecExpandResult r =
+          s == Strategy::kRecExpand ? rec_expand2(tree, memory) : full_rec_expand(tree, memory);
+      out.schedule = std::move(r.schedule);
+      out.evaluation = std::move(r.evaluation);
+      return out;
+    }
   }
   out.evaluation = simulate_fif(tree, out.schedule, memory);
   return out;

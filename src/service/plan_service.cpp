@@ -172,11 +172,12 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
   }
 
   SharedPlanState shared(*tree);
+  const std::uint64_t tree_hash = tree->canonical_hash();
   for (const std::size_t i : pending) {
     const PlanRequest& request = requests[i];
     try {
       const core::Weight memory = resolve_memory(request, *tree);
-      const CacheKey key{tree->canonical_hash(), params_fingerprint(request, memory, seeds[i])};
+      const CacheKey key{tree_hash, params_fingerprint(request, memory, seeds[i])};
       const std::optional<std::uint64_t> fingerprint = request_fingerprint(request, seeds[i]);
       const CacheKey spec_key{fingerprint.value_or(0), kFingerprintTag};
       // The canonical probe also dedups *within* the group: an earlier
@@ -188,7 +189,8 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
         continue;
       }
       std::shared_ptr<const PlanStats> stats =
-          finish_stats(request, *tree, memory, seeds[i], shared.run(request.strategy, memory));
+          finish_stats(request, *tree, tree_hash, memory, seeds[i],
+                       shared.run(request.strategy, memory));
       if (stats->ok) {
         cache_.put(key, stats, /*persistable=*/true);
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
@@ -244,7 +246,8 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     const core::Weight memory = resolve_memory(request, tree);
 
     // Layer 2: canonical key — identical instances from any source collapse.
-    const CacheKey key{tree.canonical_hash(), params_fingerprint(request, memory, seed)};
+    const std::uint64_t tree_hash = tree.canonical_hash();
+    const CacheKey key{tree_hash, params_fingerprint(request, memory, seed)};
     if (auto hit = cache_.get(key)) {
       // Spec-fingerprint entries are derivable from the request alone, so
       // they stay RAM-only (persistable=false); only canonical entries are
@@ -288,7 +291,7 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     // stale entry would poison all future requests for this instance.
     std::shared_ptr<const PlanStats> stats;
     try {
-      stats = compute(request, std::move(tree), memory, seed);
+      stats = compute(request, std::move(tree), tree_hash, memory, seed);
       if (stats->ok) {
         cache_.put(key, stats, /*persistable=*/true);
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
@@ -319,10 +322,11 @@ core::Tree PlanService::materialize(const PlanRequest& request, std::uint64_t se
 }
 
 std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request,
-                                                      core::Tree tree, core::Weight memory,
+                                                      core::Tree tree, std::uint64_t tree_hash,
+                                                      core::Weight memory,
                                                       std::uint64_t seed) const {
   try {
-    return finish_stats(request, tree, memory, seed,
+    return finish_stats(request, tree, tree_hash, memory, seed,
                         core::run_strategy(request.strategy, tree, memory));
   } catch (const std::exception& e) {
     return error_stats(e.what());
@@ -331,13 +335,14 @@ std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request
 
 std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& request,
                                                            const core::Tree& tree,
+                                                           std::uint64_t tree_hash,
                                                            core::Weight memory,
                                                            std::uint64_t seed,
                                                            core::StrategyOutcome outcome) const {
   auto stats = std::make_shared<PlanStats>();
   try {
     stats->nodes = tree.size();
-    stats->tree_hash = tree.canonical_hash();
+    stats->tree_hash = tree_hash;
     stats->total_weight = tree.total_weight();
     stats->lb = tree.min_feasible_memory();
     stats->memory = memory;

@@ -136,12 +136,16 @@ class PlanService {
                    std::vector<PlanResponse>& responses);
   PlanResponse respond(const PlanRequest& request, std::shared_ptr<const PlanStats> stats,
                        Served served, double seconds);
+  /// `tree_hash` is tree.canonical_hash(), computed once per request for
+  /// the cache key and reused for the stats.
   [[nodiscard]] std::shared_ptr<const PlanStats> compute(const PlanRequest& request,
-                                                         core::Tree tree, core::Weight memory,
+                                                         core::Tree tree, std::uint64_t tree_hash,
+                                                         core::Weight memory,
                                                          std::uint64_t seed) const;
   /// Evaluates + replays an already-planned outcome into immutable stats.
   [[nodiscard]] std::shared_ptr<const PlanStats> finish_stats(const PlanRequest& request,
                                                               const core::Tree& tree,
+                                                              std::uint64_t tree_hash,
                                                               core::Weight memory,
                                                               std::uint64_t seed,
                                                               core::StrategyOutcome outcome) const;

@@ -2,8 +2,9 @@
 //
 // The planners reserve their working storage once per call and reuse it:
 // OptMinMem keeps every hill-valley segment in one pool, RecExpand reads
-// subtree peaks from its own incremental engine, PostOrderMinIO sorts one
-// flat child array, and SYNTH builds its Tree once. This suite replaces the
+// subtree peaks from its own incremental engine, the FiF simulator reserves
+// its heap once, PostOrderMinIO sorts one flat child array, and SYNTH
+// builds its Tree once. This suite replaces the
 // global operator new with a counting one and asserts that each kernel
 // allocates a bounded number of times on a 16000-node SYNTH tree — a
 // per-node allocation anywhere on the path costs thousands and fails here.
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/fif_simulator.hpp"
 #include "src/core/minio_postorder.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/rec_expand.hpp"
@@ -117,6 +119,17 @@ TEST_P(AllocationGuard, RecExpand2) {
     const std::size_t n =
         allocations_of([&] { scheduled = core::rec_expand2(*tree_, memory).schedule.size(); });
     EXPECT_EQ(scheduled, kNodes);
+    EXPECT_LT(n, kMaxAllocations) << "M = " << memory;
+  }
+}
+
+TEST_P(AllocationGuard, SimulateFif) {
+  const core::Schedule schedule = core::opt_minmem(*tree_).schedule;
+  for (const Weight memory : bounds()) {
+    bool feasible = false;
+    const std::size_t n =
+        allocations_of([&] { feasible = core::simulate_fif(*tree_, schedule, memory).feasible; });
+    EXPECT_TRUE(feasible);
     EXPECT_LT(n, kMaxAllocations) << "M = " << memory;
   }
 }

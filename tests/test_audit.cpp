@@ -41,6 +41,9 @@ using service::CacheKey;
 using service::PlanStats;
 using service::ResultCache;
 
+// The fixtures below feed only the audit-build tests; without
+// OOCTREE_AUDIT they would be unused.
+#if OOCTREE_AUDIT_ENABLED
 /// The PR 3 failed-start regression tree (see
 /// tests/test_parallel_incremental.cpp): task B keeps failing to fit round
 /// after round while a side chain backfills, so failed transactional
@@ -63,6 +66,7 @@ ParallelConfig failed_start_config() {
   c.priority = Priority::kCriticalPath;
   return c;
 }
+#endif
 
 TEST(Audit, ExplicitSweepsRunAndPassInEveryPreset) {
   const std::uint64_t before = core::audit_checks_executed();
@@ -206,6 +210,7 @@ TEST(Audit, ConvictsReintroducedUnreservedTransient) {
 // paged engine on a stall-heavy configuration the healthy engine passes
 // clean (pinned by tests/test_disk_pipeline.cpp under the dev preset).
 
+#if OOCTREE_AUDIT_ENABLED
 // A pipelined configuration under memory pressure: tight frames force
 // evictions (write traffic), the window forces prefetch reads.
 parallel::PagedParallelConfig pipelined_pressure_config(const Tree& t, int depth, int window) {
@@ -219,6 +224,7 @@ parallel::PagedParallelConfig pipelined_pressure_config(const Tree& t, int depth
   c.disk = iosim::DiskModel{0.5, 2.0};
   return c;
 }
+#endif
 
 TEST(Audit, ConvictsEvictionIgnoringWriteBackpressure) {
 #if OOCTREE_AUDIT_ENABLED

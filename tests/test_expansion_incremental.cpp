@@ -6,6 +6,8 @@
 // volumes, expansion volumes, peaks — under both memory models.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <vector>
 
 #include "src/core/expansion.hpp"
@@ -285,6 +287,39 @@ TEST(RecExpandIncremental, MatchesReferenceOnSynthInstances) {
       two.max_expansions_per_node = 2;
       expect_same_rec_expand(core::rec_expand(t, m, two),
                              core::oracle::rec_expand_reference(t, m, two));
+    }
+  }
+}
+
+// Equal and near-equal weights on high fan-in shapes: many active data
+// share a consumer, so the FiF's tie-break between siblings and the
+// victim rule's "first sibling on a tie" decide the expansions.
+TEST(RecExpandIncremental, MatchesReferenceOnTiedSiblings) {
+  util::Rng rng(1259);
+  std::vector<Tree> shapes;
+  for (int rep = 0; rep < 10; ++rep) {
+    const std::size_t n = 30 + static_cast<std::size_t>(rng.uniform_int(0, 170));
+    shapes.push_back(treegen::random_recursive_tree(n, rng));
+    shapes.push_back(
+        treegen::with_uniform_weights(treegen::random_recursive_tree(n, rng), 1, 3, rng));
+  }
+  shapes.push_back(treegen::caterpillar_tree(12, 4, 1));
+  shapes.push_back(treegen::spider_tree(6, 5, 1));
+  shapes.push_back(treegen::complete_kary_tree(3, 4, 1));
+  shapes.push_back(treegen::with_uniform_weights(treegen::star_tree(10, 1, 1), 1, 2, rng));
+  for (const Tree& shape : shapes) {
+    for (const MemoryModel model : {MemoryModel::kMaxInOut, MemoryModel::kSumInOut}) {
+      const Tree t = shape.with_memory_model(model);
+      const Weight lb = t.min_feasible_memory();
+      const Weight peak = core::opt_minmem(t).peak;
+      for (Weight m = lb; m < peak; m += std::max<Weight>(1, (peak - lb) / 10)) {
+        for (const std::size_t cap : {std::size_t{2}, std::numeric_limits<std::size_t>::max()}) {
+          RecExpandOptions opts;
+          opts.max_expansions_per_node = cap;
+          expect_same_rec_expand(core::rec_expand(t, m, opts),
+                                 core::oracle::rec_expand_reference(t, m, opts));
+        }
+      }
     }
   }
 }

@@ -1,9 +1,17 @@
-// Tests for the Furthest-in-the-Future eviction simulator (Theorem 1).
+// Tests for the Furthest-in-the-Future eviction simulator (Theorem 1),
+// and the differential against the std::set oracle
+// (tests/oracles/fif_reference.hpp).
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "src/core/brute_force.hpp"
 #include "src/core/fif_simulator.hpp"
+#include "src/core/minmem_optimal.hpp"
 #include "test_support.hpp"
+#include "tests/oracles/fif_reference.hpp"
 
 namespace ooctree {
 namespace {
@@ -151,6 +159,145 @@ TEST(Fif, PeakResidentNeverExceedsMemory) {
     const core::FifResult r = simulate_fif(t, t.postorder(), m);
     ASSERT_TRUE(r.feasible);
     EXPECT_LE(r.peak_resident, m);
+  }
+}
+
+// --- Differential against the std::set oracle ----------------------------
+
+enum class Shape { kSynth, kSynthEqual, kCaterpillar, kCaterpillarEqual, kSpider,
+                   kRecursive, kRecursiveEqual, kRecursiveZero };
+
+/// Roughly n nodes of the given shape. The "Equal" variants give every node
+/// weight 1, so siblings tie on size and many active data share a parent
+/// step; "Zero" draws weights from [0, 3], so some outputs are empty.
+Tree make_shape(Shape shape, std::size_t n, util::Rng& rng) {
+  switch (shape) {
+    case Shape::kSynth:
+      return treegen::synth_instance(n, 1, 100, rng);
+    case Shape::kSynthEqual:
+      return treegen::with_constant_weights(treegen::uniform_binary_tree(n, rng), 1);
+    case Shape::kCaterpillar:
+      return treegen::with_uniform_weights(treegen::caterpillar_tree((n + 3) / 4, 3, 1), 1, 100,
+                                           rng);
+    case Shape::kCaterpillarEqual:
+      return treegen::caterpillar_tree((n + 3) / 4, 3, 1);
+    case Shape::kSpider: {
+      const std::size_t legs = n < 8 ? 1 + n / 3 : 12;
+      const std::size_t leg_len = n > legs ? (n - 1) / legs : 1;
+      return treegen::with_uniform_weights(treegen::spider_tree(legs, leg_len, 1), 1, 100, rng);
+    }
+    case Shape::kRecursive:
+      return treegen::with_uniform_weights(treegen::random_recursive_tree(n, rng), 1, 100, rng);
+    case Shape::kRecursiveEqual:
+      return treegen::random_recursive_tree(n, rng);
+    case Shape::kRecursiveZero:
+      return treegen::with_uniform_weights(treegen::random_recursive_tree(n, rng), 0, 3, rng);
+  }
+  return treegen::random_recursive_tree(1, rng);
+}
+
+/// A uniformly drawn ready task at every step: a topological order that is
+/// neither a postorder nor OptMinMem's.
+Schedule random_topological_order(const Tree& t, util::Rng& rng) {
+  std::vector<std::size_t> waiting(t.size());
+  Schedule ready;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    waiting[i] = t.num_children(static_cast<core::NodeId>(i));
+    if (waiting[i] == 0) ready.push_back(static_cast<core::NodeId>(i));
+  }
+  Schedule order;
+  while (!ready.empty()) {
+    const std::size_t k = rng.index(ready.size());
+    const core::NodeId node = ready[k];
+    ready[k] = ready.back();
+    ready.pop_back();
+    order.push_back(node);
+    const core::NodeId p = t.parent(node);
+    if (p != kNoNode && --waiting[static_cast<std::size_t>(p)] == 0) ready.push_back(p);
+  }
+  return order;
+}
+
+void expect_same_fif(const core::FifResult& got, const core::FifResult& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.feasible, want.feasible) << label;
+  EXPECT_EQ(got.io, want.io) << label;
+  EXPECT_EQ(got.io_volume, want.io_volume) << label;
+  EXPECT_EQ(got.peak_resident, want.peak_resident) << label;
+  EXPECT_EQ(got.evictions, want.evictions) << label;
+}
+
+class FifDifferential : public ::testing::TestWithParam<Shape> {};
+
+// Every FifResult field, under both memory models, for three schedules per
+// tree (OptMinMem's, the postorder, a random topological order) at bounds
+// from one below LB (infeasible: the partial result must match too) up to
+// the schedule's in-core peak.
+TEST_P(FifDifferential, MatchesSetReference) {
+  for (const std::size_t n : {1, 2, 7, 60, 400}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      util::Rng rng(seed * 1000 + n);
+      const Tree shape = make_shape(GetParam(), n, rng);
+      for (const core::MemoryModel model :
+           {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut}) {
+        const Tree t = shape.with_memory_model(model);
+        const std::vector<Schedule> schedules = {core::opt_minmem(t).schedule, t.postorder(),
+                                                 random_topological_order(t, rng)};
+        for (std::size_t k = 0; k < schedules.size(); ++k) {
+          const Schedule& schedule = schedules[k];
+          const Weight lb = t.min_feasible_memory();
+          const Weight peak = core::peak_memory(t, schedule);
+          std::vector<Weight> bounds = {lb - 1, peak};
+          for (int step = 0; step < 8; ++step) bounds.push_back(lb + (peak - lb) * step / 8);
+          for (const Weight m : bounds) {
+            if (m < 0) continue;
+            const std::string label = "n=" + std::to_string(n) + " seed=" +
+                                      std::to_string(seed) + " model=" +
+                                      std::to_string(static_cast<int>(model)) + " schedule=" +
+                                      std::to_string(k) + " M=" + std::to_string(m);
+            expect_same_fif(simulate_fif(t, schedule, m),
+                            core::oracle::fif_reference(t, schedule, m), label);
+          }
+        }
+      }
+    }
+  }
+}
+
+const char* shape_label(Shape shape) {
+  switch (shape) {
+    case Shape::kSynth: return "Synth";
+    case Shape::kSynthEqual: return "SynthEqual";
+    case Shape::kCaterpillar: return "Caterpillar";
+    case Shape::kCaterpillarEqual: return "CaterpillarEqual";
+    case Shape::kSpider: return "Spider";
+    case Shape::kRecursive: return "Recursive";
+    case Shape::kRecursiveEqual: return "RecursiveEqual";
+    case Shape::kRecursiveZero: return "RecursiveZero";
+  }
+  return "Unknown";
+}
+
+void PrintTo(Shape shape, std::ostream* os) { *os << shape_label(shape); }
+
+std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
+  return shape_label(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, FifDifferential,
+                         ::testing::Values(Shape::kSynth, Shape::kSynthEqual, Shape::kCaterpillar,
+                                           Shape::kCaterpillarEqual, Shape::kSpider,
+                                           Shape::kRecursive, Shape::kRecursiveEqual,
+                                           Shape::kRecursiveZero),
+                         shape_name);
+
+// Malformed schedules are rejected by both, before anything is simulated.
+TEST(FifDifferential, BothRejectMalformedSchedules) {
+  const Tree t = make_tree({{kNoNode, 2}, {0, 3}, {1, 4}});
+  for (const Schedule& bad : {Schedule{0, 1, 2}, Schedule{2, 2, 0}, Schedule{2, 1},
+                              Schedule{2, 1, 0, 0}, Schedule{2, 7, 0}, Schedule{-1, 1, 0}}) {
+    EXPECT_THROW((void)simulate_fif(t, bad, 10), std::invalid_argument);
+    EXPECT_THROW((void)core::oracle::fif_reference(t, bad, 10), std::invalid_argument);
   }
 }
 

@@ -178,8 +178,8 @@ TEST(IncrementalMinMem, RepeatedRecombinationStaysExact) {
   util::Rng rng(141);
   const Tree t = test::small_random_wide_tree(300, 40, rng);
   core::IncrementalMinMem engine;
-  engine.ensure(t, t.root());
   const std::vector<core::NodeId> order = t.postorder();
+  for (const core::NodeId u : order) engine.combine(t, u);
   for (int round = 0; round < 6; ++round) {
     for (const core::NodeId u : order) engine.combine(t, u);
     expect_engine_matches(engine, t);

@@ -1,7 +1,7 @@
 // Differential suite for the paged parallel engine (simulate_parallel_paged).
 //
 // The paged engine is the shared transactional-start core of the parallel
-// subsystem; this suite pins its three anchors:
+// subsystem; it has three anchors:
 //   * page_size = 1 + no disk model  ==  simulate_parallel bit-identically
 //     (the unit engine is that specialization — the test guards the
 //     contract against future re-specialization);
@@ -10,6 +10,8 @@
 //     accounting on the same schedule, for every page size;
 //   * the same configuration at page_size = 1  ==  the sequential FiF
 //     simulator's I/O volume and peak.
+// The first is pinned here; the two sequential ones are the parameterized
+// SequentialReplay* tests in tests/test_pager.cpp.
 // It also reuses the pinned PR 3 fixtures (transient reservation,
 // write-at-most-once thrashing) from test_support.hpp so the sequential
 // replay and the paged parallel engine stay pinned to one accounting, and
@@ -23,20 +25,15 @@
 #include <climits>
 #include <tuple>
 
-#include "src/core/fif_simulator.hpp"
-#include "src/core/minmem_optimal.hpp"
 #include "src/parallel/parallel_sim.hpp"
 #include "src/treegen/random_binary.hpp"
 #include "test_support.hpp"
 #include "tests/oracles/paged_reference.hpp"
-#include "tests/oracles/pager_reference.hpp"
 
 namespace ooctree {
 namespace {
 
 using core::EvictionPolicy;
-using core::MemoryModel;
-using core::Schedule;
 using core::Tree;
 using core::Weight;
 using parallel::PagedParallelConfig;
@@ -101,75 +98,6 @@ TEST(PagedParallel, UnitPageMatchesUnitEngineAcrossSweep) {
             EXPECT_EQ(paged.frames, m);
           }
         }
-      }
-    }
-  }
-}
-
-// Anchor 2: one worker following the reference order with the strict scan is
-// the sequential paging model — every page counter must match the
-// sequential pager oracle on the same schedule for every page size and
-// deterministic policy (tests/test_pager.cpp adds kRandom).
-TEST(PagedParallel, SingleWorkerSequentialMatchesPager) {
-  util::Rng rng(25013);
-  const std::vector<EvictionPolicy> policies{EvictionPolicy::kBelady, EvictionPolicy::kLru,
-                                             EvictionPolicy::kLargestFirst};
-  for (int rep = 0; rep < 10; ++rep) {
-    const Tree t = (rep % 2 == 0) ? test::small_random_tree(28, 12, rng)
-                                  : test::small_random_wide_tree(28, 12, rng);
-    const Schedule schedule = core::opt_minmem(t).schedule;
-    for (const Weight page : {Weight{1}, Weight{3}, Weight{4}, Weight{7}}) {
-      const Weight min_frames = parallel::min_feasible_frames(t, page);
-      for (const Weight slack : {Weight{0}, Weight{2}, Weight{6}}) {
-        const Weight memory = (min_frames + slack) * page;
-        for (const EvictionPolicy policy : policies) {
-          parallel::oracle::PagerConfig pc;
-          pc.page_size = page;
-          pc.memory = memory;
-          pc.policy = policy;
-          const parallel::oracle::PagerStats pager =
-              parallel::oracle::run_pager_reference(t, schedule, pc);
-
-          const PagedParallelResult paged =
-              test::sequential_paged_replay(t, schedule, memory, page, policy);
-
-          const std::string label = "rep=" + std::to_string(rep) +
-                                    " page=" + std::to_string(page) +
-                                    " slack=" + std::to_string(slack) +
-                                    " policy=" + core::eviction_policy_name(policy);
-          ASSERT_EQ(paged.base.feasible, pager.feasible) << label;
-          if (!pager.feasible) continue;
-          EXPECT_EQ(paged.base.start_order, schedule) << label;
-          EXPECT_EQ(paged.pages_written, pager.pages_written) << label;
-          EXPECT_EQ(paged.pages_read, pager.pages_read) << label;
-          EXPECT_EQ(paged.pages_dropped_clean, pager.pages_dropped_clean) << label;
-          EXPECT_EQ(paged.eviction_events, pager.eviction_events) << label;
-          EXPECT_EQ(paged.peak_frames_used, pager.peak_frames_used) << label;
-          EXPECT_EQ(paged.base.io_volume, pager.write_volume(pc)) << label;
-        }
-      }
-    }
-  }
-}
-
-// Anchor 3: the same sequential configuration at page_size = 1 reproduces
-// the analytic FiF counter's I/O volume and peak, under both memory models.
-TEST(PagedParallel, SingleWorkerSequentialUnitPageCollapsesToFif) {
-  util::Rng rng(25031);
-  for (const MemoryModel model : {MemoryModel::kMaxInOut, MemoryModel::kSumInOut}) {
-    for (int rep = 0; rep < 10; ++rep) {
-      const Tree t = test::small_random_tree(30, 12, rng).with_memory_model(model);
-      const Schedule ref = core::opt_minmem(t).schedule;
-      const Weight lb = t.min_feasible_memory();
-      for (const Weight m : {lb, lb + 4, lb + 12}) {
-        const auto fif = core::simulate_fif(t, ref, m);
-        ASSERT_TRUE(fif.feasible);
-        const PagedParallelResult r = test::sequential_paged_replay(t, ref, m);
-        ASSERT_TRUE(r.base.feasible);
-        EXPECT_EQ(r.base.io_volume, fif.io_volume)
-            << "model=" << static_cast<int>(model) << " rep=" << rep << " M=" << m;
-        EXPECT_EQ(r.base.peak_resident, fif.peak_resident)
-            << "model=" << static_cast<int>(model) << " rep=" << rep << " M=" << m;
       }
     }
   }

@@ -6,6 +6,10 @@
 // differential holds the engine equal to that oracle.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "test_support.hpp"
@@ -15,6 +19,7 @@ namespace ooctree {
 namespace {
 
 using core::EvictionPolicy;
+using core::MemoryModel;
 using core::Tree;
 using core::Weight;
 using parallel::PagedParallelResult;
@@ -31,27 +36,6 @@ PagerConfig oracle_config(Weight memory, EvictionPolicy p = EvictionPolicy::kBel
   c.policy = p;
   c.seed = seed;
   return c;
-}
-
-TEST(Pager, BeladyUnitPagesMatchesAnalyticFif) {
-  // The cornerstone cross-validation: with page_size = 1 the sequential
-  // replay under Belady must reproduce core::simulate_fif write-for-write.
-  util::Rng rng(901);
-  for (int rep = 0; rep < 40; ++rep) {
-    const Tree t = (rep % 2 == 0) ? test::small_random_tree(14, 12, rng)
-                                  : test::small_random_wide_tree(14, 12, rng);
-    const auto schedule = core::opt_minmem(t).schedule;
-    const Weight lb = t.min_feasible_memory();
-    for (const Weight m : {lb, lb + 3, lb + 10}) {
-      const auto fif = core::simulate_fif(t, schedule, m);
-      const PagedParallelResult paged = sequential_paged_replay(t, schedule, m);
-      ASSERT_EQ(paged.base.feasible, fif.feasible);
-      if (fif.feasible) {
-        EXPECT_EQ(paged.pages_written, fif.io_volume) << t.to_string() << " M=" << m;
-        EXPECT_EQ(paged.pages_read, fif.io_volume) << "reads must mirror writes";
-      }
-    }
-  }
 }
 
 TEST(Pager, NoIoWithAmpleMemory) {
@@ -166,24 +150,110 @@ TEST(Pager, PeakFramesBounded) {
   EXPECT_LE(s.peak_frames_used, m);  // page_size 1: frames == units
 }
 
+// --- The sequential replay against its two references --------------------
+//
+// Each test below runs one comparison over two parameter sets, one from
+// the pager's own sweep and one from the paged engine's anchors
+// (tests/test_paged_parallel.cpp), so every assertion of either side holds
+// on both trees, bounds and policy sets.
+
+/// A sweep of small random trees: `reps` trees of `nodes` nodes drawn from
+/// `seed`, alternating binary and high fan-in shapes when `wide`.
+struct TreeSweep {
+  const char* name;
+  std::uint64_t seed;
+  int reps;
+  std::size_t nodes;
+  bool wide;
+
+  [[nodiscard]] Tree tree(int rep, util::Rng& rng) const {
+    return (wide && rep % 2 == 1) ? test::small_random_wide_tree(nodes, 12, rng)
+                                  : test::small_random_tree(nodes, 12, rng);
+  }
+};
+
+struct UnitPageCase {
+  TreeSweep sweep;
+  std::vector<MemoryModel> models;
+  std::vector<Weight> slacks;  // above LB
+};
+
+void PrintTo(const UnitPageCase& c, std::ostream* os) { *os << c.sweep.name; }
+
+class SequentialReplayUnitPage : public ::testing::TestWithParam<UnitPageCase> {};
+
+// The cornerstone cross-validation: with page_size = 1 the sequential
+// replay under Belady must reproduce core::simulate_fif write for write,
+// read for read, and reach the same peak.
+TEST_P(SequentialReplayUnitPage, CollapsesToAnalyticFif) {
+  const UnitPageCase& c = GetParam();
+  util::Rng rng(c.sweep.seed);
+  for (const MemoryModel model : c.models) {
+    for (int rep = 0; rep < c.sweep.reps; ++rep) {
+      const Tree t = c.sweep.tree(rep, rng).with_memory_model(model);
+      const auto schedule = core::opt_minmem(t).schedule;
+      const Weight lb = t.min_feasible_memory();
+      for (const Weight slack : c.slacks) {
+        const Weight m = lb + slack;
+        const std::string label = "model=" + std::to_string(static_cast<int>(model)) +
+                                  " rep=" + std::to_string(rep) + " M=" + std::to_string(m);
+        const auto fif = core::simulate_fif(t, schedule, m);
+        ASSERT_TRUE(fif.feasible) << label;
+        const PagedParallelResult paged = sequential_paged_replay(t, schedule, m);
+        ASSERT_EQ(paged.base.feasible, fif.feasible) << label;
+        EXPECT_EQ(paged.pages_written, fif.io_volume) << t.to_string() << " " << label;
+        EXPECT_EQ(paged.pages_read, fif.io_volume) << "reads must mirror writes; " << label;
+        EXPECT_EQ(paged.base.io_volume, fif.io_volume) << label;
+        EXPECT_EQ(paged.base.peak_resident, fif.peak_resident) << label;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, SequentialReplayUnitPage,
+    ::testing::Values(UnitPageCase{{"Pager", 901, 40, 14, true},
+                                   {MemoryModel::kMaxInOut},
+                                   {0, 3, 10}},
+                      UnitPageCase{{"PagedParallel", 25031, 10, 30, false},
+                                   {MemoryModel::kMaxInOut, MemoryModel::kSumInOut},
+                                   {0, 4, 12}}),
+    [](const ::testing::TestParamInfo<UnitPageCase>& info) {
+      return std::string(info.param.sweep.name);
+    });
+
+struct OracleCase {
+  TreeSweep sweep;
+  std::vector<Weight> pages;
+  std::vector<Weight> slacks;  // frames above the minimum feasible count
+  std::vector<EvictionPolicy> policies;
+  bool reseed;  // also replay with a per-tree RNG seed (kRandom draws)
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.sweep.name; }
+
+class SequentialReplayOracle : public ::testing::TestWithParam<OracleCase> {};
+
 // The differential: the engine's one-worker replay against the step-loop
-// oracle, every counter both report, under every policy — kRandom included,
-// so the two replays must also draw their victims from the RNG in the same
-// sequence.
-TEST(Pager, EngineMatchesSequentialPagerOracle) {
-  util::Rng rng(937);
-  for (int rep = 0; rep < 8; ++rep) {
-    const Tree t = (rep % 2 == 0) ? test::small_random_tree(24, 12, rng)
-                                  : test::small_random_wide_tree(24, 12, rng);
+// oracle, every counter both report, for every page size and policy —
+// kRandom included, so the two replays must also draw their victims from
+// the RNG in the same sequence. The engine must also start the tasks in
+// the schedule's order.
+TEST_P(SequentialReplayOracle, MatchesSequentialPagerOracle) {
+  const OracleCase& c = GetParam();
+  util::Rng rng(c.sweep.seed);
+  for (int rep = 0; rep < c.sweep.reps; ++rep) {
+    const Tree t = c.sweep.tree(rep, rng);
     const auto schedule = core::opt_minmem(t).schedule;
-    for (const Weight page : {Weight{1}, Weight{3}, Weight{5}}) {
+    for (const Weight page : c.pages) {
       const Weight min_frames = parallel::min_feasible_frames(t, page);
-      for (const Weight slack : {Weight{-1}, Weight{0}, Weight{3}}) {
+      for (const Weight slack : c.slacks) {
         const Weight memory = (min_frames + slack) * page;
-        for (const EvictionPolicy p : {EvictionPolicy::kBelady, EvictionPolicy::kLru,
-                                       EvictionPolicy::kRandom, EvictionPolicy::kLargestFirst}) {
+        for (const EvictionPolicy p : c.policies) {
           const std::uint64_t rep_seed = static_cast<std::uint64_t>(rep) + 40;
-          for (const std::uint64_t seed : {std::uint64_t{1}, rep_seed}) {
+          std::vector<std::uint64_t> seeds = {1};
+          if (c.reseed) seeds.push_back(rep_seed);
+          for (const std::uint64_t seed : seeds) {
             const PagerConfig pc = oracle_config(memory, p, page, seed);
             const PagerStats oracle = run_pager_reference(t, schedule, pc);
             const auto engine = sequential_paged_replay(t, schedule, memory, page, p, seed);
@@ -194,6 +264,7 @@ TEST(Pager, EngineMatchesSequentialPagerOracle) {
                                       " seed=" + std::to_string(seed);
             ASSERT_EQ(engine.base.feasible, oracle.feasible) << label;
             if (!oracle.feasible) continue;
+            EXPECT_EQ(engine.base.start_order, schedule) << label;
             EXPECT_EQ(engine.pages_written, oracle.pages_written) << label;
             EXPECT_EQ(engine.pages_read, oracle.pages_read) << label;
             EXPECT_EQ(engine.eviction_events, oracle.eviction_events) << label;
@@ -206,6 +277,24 @@ TEST(Pager, EngineMatchesSequentialPagerOracle) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, SequentialReplayOracle,
+    ::testing::Values(
+        OracleCase{{"Pager", 937, 8, 24, true},
+                   {1, 3, 5},
+                   {-1, 0, 3},
+                   {EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kRandom,
+                    EvictionPolicy::kLargestFirst},
+                   true},
+        OracleCase{{"PagedParallel", 25013, 10, 28, true},
+                   {1, 3, 4, 7},
+                   {0, 2, 6},
+                   {EvictionPolicy::kBelady, EvictionPolicy::kLru, EvictionPolicy::kLargestFirst},
+                   false}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(info.param.sweep.name);
+    });
 
 }  // namespace
 }  // namespace ooctree

@@ -29,6 +29,32 @@ TEST(RecExpand, NoExpansionWhenMemoryIsAmple) {
   }
 }
 
+// At or above the OptMinMem peak nothing is expanded, and both variants
+// return OptMinMem's own schedule unchanged: the path that never makes an
+// expanded copy. Covers binary and high fan-in trees, equal weights (ties
+// everywhere) and both memory models.
+TEST(RecExpand, NoExpansionReturnsOptMinMemSchedule) {
+  util::Rng rng(509);
+  for (int rep = 0; rep < 24; ++rep) {
+    const std::size_t n = rep < 12 ? 30 : 400;
+    Tree t = (rep % 2 == 0) ? test::small_random_tree(n, 50, rng)
+                            : test::small_random_wide_tree(n, 50, rng);
+    if (rep % 3 == 0) t = treegen::with_constant_weights(t, 1);
+    if (rep % 4 >= 2) t = t.with_memory_model(core::MemoryModel::kSumInOut);
+    const core::OptMinMemResult opt = core::opt_minmem(t);
+    for (const Weight m : {opt.peak, opt.peak + 1, 2 * opt.peak}) {
+      for (const bool full : {false, true}) {
+        const RecExpandResult r = full ? full_rec_expand(t, m) : rec_expand2(t, m);
+        EXPECT_EQ(r.expansions, 0u) << "rep=" << rep << " M=" << m << " full=" << full;
+        EXPECT_EQ(r.expansion_volume, 0);
+        EXPECT_EQ(r.schedule, opt.schedule) << "rep=" << rep << " M=" << m << " full=" << full;
+        EXPECT_EQ(r.final_peak, opt.peak);
+        EXPECT_EQ(r.evaluation.io_volume, 0);
+      }
+    }
+  }
+}
+
 TEST(RecExpand, ProducesValidTraversals) {
   util::Rng rng(503);
   for (int rep = 0; rep < 30; ++rep) {

@@ -2,6 +2,8 @@
 // orderings between strategies.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/lower_bounds.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/strategies.hpp"
@@ -37,6 +39,32 @@ TEST(Strategies, AllProduceValidTraversals) {
       ASSERT_TRUE(out.evaluation.feasible) << core::strategy_name(s);
       test::expect_valid_traversal(t, out.schedule, out.evaluation.io, m);
       EXPECT_GE(out.io_volume(), core::io_lower_bound_peak_gap(t, m));
+    }
+  }
+}
+
+// run_strategy reuses RecExpand's own FiF evaluation instead of simulating
+// again; for every strategy the evaluation it reports must be exactly the
+// FiF of the schedule it returns, at binding and non-binding bounds.
+TEST(Strategies, EvaluationIsTheFifOfTheSchedule) {
+  util::Rng rng(703);
+  for (int rep = 0; rep < 12; ++rep) {
+    const Tree t = (rep % 2 == 0) ? test::small_random_tree(60, 40, rng)
+                                  : test::small_random_wide_tree(60, 40, rng);
+    const Weight lb = t.min_feasible_memory();
+    const Weight peak = core::opt_minmem(t).peak;
+    for (const Weight m : {lb, (lb + peak) / 2, peak, 2 * peak}) {
+      for (const Strategy s : all_strategies()) {
+        const auto out = run_strategy(s, t, m);
+        const core::FifResult fif = core::simulate_fif(t, out.schedule, m);
+        const std::string label = core::strategy_name(s) + " rep=" + std::to_string(rep) +
+                                  " M=" + std::to_string(m);
+        EXPECT_EQ(out.evaluation.feasible, fif.feasible) << label;
+        EXPECT_EQ(out.evaluation.io, fif.io) << label;
+        EXPECT_EQ(out.evaluation.io_volume, fif.io_volume) << label;
+        EXPECT_EQ(out.evaluation.peak_resident, fif.peak_resident) << label;
+        EXPECT_EQ(out.evaluation.evictions, fif.evictions) << label;
+      }
     }
   }
 }
