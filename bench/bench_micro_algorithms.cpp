@@ -153,6 +153,15 @@ void BM_SynthInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthInstance)->ArgsProduct({{4000, 16000}, {0, 1}});
 
+// The whole-tree postorder every from_parents, opt_minmem and rec_expand
+// call walks, at cold-plan sizes.
+void BM_TreePostorder(benchmark::State& state) {
+  const Tree t = synth(static_cast<std::size_t>(state.range(0)), 1);
+  for (auto _ : state) benchmark::DoNotOptimize(t.postorder().data());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TreePostorder)->Arg(4000)->Arg(16000);
+
 void BM_EtreeAndCounts(benchmark::State& state) {
   const auto k = static_cast<sparse::Index>(state.range(0));
   const auto g = sparse::grid2d(k, k);

@@ -40,7 +40,7 @@ void show(const char* title, const treegen::PaperInstance& inst) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = util::Args::parse(argc, argv);
+  const auto args = util::Args::parse(argc, argv, {"memory", "levels", "k"});
   const Weight m = args.get_int("memory", 8);
   const auto levels = static_cast<std::size_t>(args.get_int("levels", 3));
   const Weight k = args.get_int("k", 3);

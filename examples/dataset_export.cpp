@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   using namespace ooctree;
   using core::Weight;
 
-  const auto args = util::Args::parse(argc, argv);
+  const auto args =
+      util::Args::parse(argc, argv, {"out", "synth", "nodes", "trees-scale", "mtx"});
   const std::string out_dir = args.get("out", "./datasets");
   const int synth_count = static_cast<int>(args.get_int("synth", 20));
   const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 3000));

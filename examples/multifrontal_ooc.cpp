@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   using namespace ooctree;
   using core::Weight;
 
-  const auto args = util::Args::parse(argc, argv);
+  const auto args = util::Args::parse(argc, argv, {"grid", "ordering", "fraction"});
   const auto k = static_cast<sparse::Index>(args.get_int("grid", 60));
   const std::string ordering = args.get("ordering", "nd");
   const double fraction = args.get_double("fraction", 0.5);

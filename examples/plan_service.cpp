@@ -1,7 +1,7 @@
 // plan_service: batch and streaming front-ends of the planning service.
 //
 //   $ ./plan_service --batch requests.jsonl [--threads 8] [--out results.csv]
-//   $ ./plan_service --batch requests.csv --format csv
+//   $ ./plan_service --batch requests.csv --format csv --persist .plan-cache
 //   $ ./plan_service --demo
 //   $ ./plan_service --serve [--workers 2 --queue-depth 64 --policy shed]
 //
@@ -58,6 +58,7 @@ void usage(const char* prog) {
       "  --threads N       service worker threads (default: hardware; serve: 1)\n"
       "  --cache N         result-cache capacity in entries, 0 disables (default 4096)\n"
       "  --seed S          service seed for derived request streams (default 20170208)\n"
+      "  --persist DIR     persistent canonical cache directory (default: none)\n"
       "  --out FILE        (batch) also write per-request results as CSV\n"
       "  --quiet           (batch) suppress per-request lines, summary only\n"
       "  --stats           end-of-run JSON stats summary on stdout\n"
@@ -244,6 +245,7 @@ server::ServerConfig server_config_from_args(const util::Args& args) {
   config.service.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   config.service.cache_capacity = static_cast<std::size_t>(args.get_int("cache", 4096));
   config.service.seed = static_cast<std::uint64_t>(args.get_int("seed", 20170208));
+  config.service.persist_dir = args.get("persist", "");
   config.workers = static_cast<std::size_t>(args.get_int("workers", 1));
   config.admission.depth = static_cast<std::size_t>(args.get_int("queue-depth", 256));
   config.admission.policy = server::overload_policy_from_name(args.get("policy", "shed"));
@@ -377,6 +379,7 @@ int run_batch(const util::Args& args) {
   config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   config.cache_capacity = static_cast<std::size_t>(args.get_int("cache", 4096));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 20170208));
+  config.persist_dir = args.get("persist", "");
   service::PlanService planner(config);
 
   std::unique_ptr<util::CsvWriter> csv;
@@ -449,8 +452,13 @@ int run_batch(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = util::Args::parse(argc, argv);
   try {
+    const auto args = util::Args::parse(
+        argc, argv,
+        {"batch", "format", "demo", "serve", "threads", "cache", "seed", "persist", "out", "quiet",
+         "stats", "workers", "queue-depth", "policy", "deadline-ms", "watermark-high",
+         "watermark-low", "weights", "default-weight", "inflight-cap", "no-fuse", "fuse-limit",
+         "stats-every"});
     if (args.has("serve")) return run_serve(args);
     if (args.has("batch") || args.has("demo")) return run_batch(args);
     usage(args.program().c_str());

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   using namespace ooctree;
   using core::Weight;
 
-  const auto args = util::Args::parse(argc, argv);
+  const auto args = util::Args::parse(
+      argc, argv, {"nodes", "seed", "fraction", "strategy", "latency", "bandwidth"});
   const auto n = static_cast<std::size_t>(args.get_int("nodes", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const double fraction = args.get_double("fraction", 0.6);

@@ -123,23 +123,21 @@ void Tree::ensure_owned(std::size_t min_capacity) {
 }
 
 std::vector<NodeId> Tree::postorder(NodeId r) const {
-  std::vector<NodeId> out;
-  out.reserve(size());
-  // Iterative two-stack postorder: push node, then children; reverse at end
-  // would give a mirrored order, so instead track per-node child progress.
-  std::vector<std::pair<NodeId, std::size_t>> stack;
-  stack.emplace_back(r, 0);
-  while (!stack.empty()) {
-    auto& [node, next_child] = stack.back();
-    const auto kids = children(node);
-    if (next_child < kids.size()) {
-      const NodeId c = kids[next_child++];
-      stack.emplace_back(c, 0);
-    } else {
-      out.push_back(node);
-      stack.pop_back();
-    }
+  // Read backwards, the postorder is a node, then its children's subtrees
+  // last child first: a popped node goes just before those already placed,
+  // and its children are pushed in stored order. The stack lives at the
+  // front of the output; stacked and placed nodes are distinct, so the two
+  // regions never meet.
+  std::vector<NodeId> out(size());
+  std::size_t top = 0;          // the stack is out[0, top)
+  std::size_t placed = size();  // the order so far is out[placed, size)
+  out[top++] = r;
+  while (top > 0) {
+    const NodeId node = out[--top];
+    out[--placed] = node;
+    for (const NodeId c : children(node)) out[top++] = c;
   }
+  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(placed));
   return out;
 }
 

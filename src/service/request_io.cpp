@@ -379,6 +379,14 @@ const Field& field_named(std::string_view key) {
   unknown_field(key);
 }
 
+/// The field a CSV header cell or a command-line option names: the array
+/// fields are JSONL-only.
+const Field& scalar_field_named(std::string_view key) {
+  const Field& field = field_named(key);
+  if (field.kind == kArray) unknown_field(key);
+  return field;
+}
+
 void assign(DecodeState& state, const Field& field, Tokens tokens) {
   field.set(state, field, tokens);
   if (field.role == kReplay && field.name != kWorkers) state.has_replay_field = true;
@@ -472,6 +480,16 @@ PlanRequest request_from_json(const std::string& line, std::int64_t fallback_id)
   return finish(std::move(state));
 }
 
+PlanRequest request_from_fields(std::span<const FieldText> fields, std::int64_t fallback_id) {
+  DecodeState state;
+  state.request.id = fallback_id;  // an "id" pair overrides it
+  for (const FieldText& pair : fields) {
+    const Field& field = scalar_field_named(pair.name);
+    if (!pair.text.empty()) assign(state, field, Tokens(&pair.text, 1));
+  }
+  return finish(std::move(state));
+}
+
 std::vector<PlanRequest> read_requests_jsonl(std::istream& in) {
   std::vector<PlanRequest> requests;
   std::string line;
@@ -491,18 +509,15 @@ std::vector<PlanRequest> read_requests_jsonl(std::istream& in) {
 std::vector<PlanRequest> read_requests_csv(std::istream& in) {
   std::vector<PlanRequest> requests;
   std::string line;
-  std::vector<const Field*> header;
+  std::vector<std::string> header;
   std::int64_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (blank_or_comment(line)) continue;
     if (header.empty()) {
-      for (const std::string& key : split_csv_row(line)) {
-        // Validate the header eagerly so a typo fails before row 1. Arrays
-        // are JSONL-only.
-        header.push_back(&field_named(key));
-        if (header.back()->kind == kArray) unknown_field(key);
-      }
+      header = split_csv_row(line);
+      // Validate the header eagerly so a typo fails before row 1.
+      for (const std::string& key : header) (void)scalar_field_named(key);
       continue;
     }
     const std::vector<std::string> cells = split_csv_row(line);
@@ -511,14 +526,9 @@ std::vector<PlanRequest> read_requests_csv(std::istream& in) {
                                std::to_string(header.size()) + " cells, got " +
                                std::to_string(cells.size()));
     try {
-      DecodeState state;
-      state.request.id = static_cast<std::int64_t>(requests.size()) + 1;
-      for (std::size_t k = 0; k < header.size(); ++k) {
-        if (cells[k].empty()) continue;  // keep the field's default
-        const std::string_view cell = cells[k];
-        assign(state, *header[k], Tokens(&cell, 1));
-      }
-      requests.push_back(finish(std::move(state)));
+      std::vector<FieldText> row(header.size());
+      for (std::size_t k = 0; k < header.size(); ++k) row[k] = {header[k], cells[k]};
+      requests.push_back(request_from_fields(row, static_cast<std::int64_t>(requests.size()) + 1));
     } catch (const std::exception& e) {
       throw std::runtime_error("line " + std::to_string(line_number) + ": " + e.what());
     }

@@ -26,7 +26,9 @@
 //
 // CSV: a header row naming a subset of the scalar keys above (parent/
 // weight arrays are JSONL-only), then one request per row; empty cells
-// keep the field's default. The same inference rules apply.
+// keep the field's default. The same inference rules apply. Each row
+// decodes through request_from_fields, which also decodes ooc_planner's
+// command-line options, so a key, a cell and an option are one field.
 //
 // Numbers are strict decimals, parsed once by the field's kind: integers
 // must fit int64 and the field's range, reals must be finite. The parser
@@ -36,6 +38,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,6 +72,21 @@ enum class BatchFormat : std::uint8_t { kAuto, kJsonl, kCsv };
 /// object has no "id" key. Throws std::runtime_error on malformed input.
 [[nodiscard]] PlanRequest request_from_json(const std::string& line,
                                             std::int64_t fallback_id = 0);
+
+/// One field spelled as text: a CSV header cell and its row's cell, or a
+/// command-line option and its value.
+struct FieldText {
+  std::string_view name;
+  std::string_view text;
+};
+
+/// Decodes a request from name/text pairs, each text parsed by its field's
+/// kind exactly as a CSV cell is: an empty text keeps the field's default,
+/// and the array fields are JSONL-only. `fallback_id` is used when no pair
+/// names "id". Inference, replay gating and the error on an unknown name or
+/// a bad value are request_from_json's.
+[[nodiscard]] PlanRequest request_from_fields(std::span<const FieldText> fields,
+                                              std::int64_t fallback_id = 0);
 
 /// Reads a whole JSONL stream.
 [[nodiscard]] std::vector<PlanRequest> read_requests_jsonl(std::istream& in);

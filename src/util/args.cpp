@@ -1,25 +1,32 @@
 #include "src/util/args.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ooctree::util {
 
-Args Args::parse(int argc, const char* const* argv) {
+Args Args::parse(int argc, const char* const* argv, const std::vector<std::string>& accepted) {
   Args out;
   if (argc > 0) out.program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string tok = argv[i];
-    if (tok.rfind("--", 0) == 0) {
-      const auto eq = tok.find('=');
-      if (eq != std::string::npos) {
-        out.options_[tok.substr(2, eq - 2)] = tok.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        out.options_[tok.substr(2)] = argv[++i];
-      } else {
-        out.options_[tok.substr(2)] = "";  // boolean flag
-      }
-    } else {
+    if (tok.rfind("--", 0) != 0) {
       out.positional_.push_back(tok);
+      continue;
+    }
+    const auto eq = tok.find('=');
+    const std::string name = tok.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      std::string names;
+      for (const std::string& a : accepted) names += (names.empty() ? "--" : ", --") + a;
+      throw std::runtime_error("unknown option --" + name + " (accepted: " + names + ")");
+    }
+    if (eq != std::string::npos) {
+      out.options_[name] = tok.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      out.options_[name] = argv[++i];
+    } else {
+      out.options_[name] = "";  // boolean flag
     }
   }
   return out;

@@ -18,8 +18,10 @@ class Args {
  public:
   /// Parses argv. Every token starting with "--" is an option; if the next
   /// token does not start with "--" it is consumed as the option's value,
-  /// otherwise the option is a boolean flag.
-  static Args parse(int argc, const char* const* argv);
+  /// otherwise the option is a boolean flag. `accepted` names every option
+  /// the program reads (without the "--"); any other name throws
+  /// std::runtime_error listing them.
+  static Args parse(int argc, const char* const* argv, const std::vector<std::string>& accepted);
 
   [[nodiscard]] bool has(const std::string& name) const { return options_.count(name) > 0; }
 

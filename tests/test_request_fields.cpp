@@ -6,12 +6,14 @@
 // decode tests pin the strict number rules both formats share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/tree_io.hpp"
@@ -271,6 +273,136 @@ TEST(RequestFields, WrongValueTypesNameTheField) {
   const std::string gated = json_error(R"({"nodes":8,"prefetch_window":2})");
   EXPECT_NE(gated.find("prefetch_window"), std::string::npos) << gated;
   EXPECT_NE(gated.find("require 'workers' > 0"), std::string::npos) << gated;
+}
+
+/// A scalar key decoded on top of `base`, with a valid and an invalid
+/// value. Values are JSON-spelled (strings quoted); the CSV cell and the
+/// request_from_fields text are the same value unquoted.
+struct Spelling {
+  std::string field;
+  std::vector<std::pair<std::string, std::string>> base;
+  std::string good;
+  std::string bad;  ///< empty when every JSON value of the key's type decodes
+};
+
+std::vector<Spelling> spellings() {
+  const std::vector<std::pair<std::string, std::string>> synth = {{"nodes", "30"}, {"seed", "3"}};
+  auto replay = synth;
+  replay.emplace_back("workers", "2");
+  auto disk = replay;
+  disk.insert(disk.end(), {{"page_size", "4"}, {"disk_bandwidth", "8"}});
+  auto paged = replay;
+  paged.emplace_back("page_size", "4");
+  auto random = replay;
+  random.emplace_back("evict", R"("random")");
+  return {
+      {"id", synth, "7", "1.5"},
+      {"tenant", synth, R"("a")", ""},
+      {"source", synth, R"("synth")", R"("bogus")"},
+      {"nodes", {{"seed", "3"}}, "30", "0"},
+      {"w_lo", {{"nodes", "30"}, {"seed", "3"}, {"w_hi", "50"}}, "2", "1.5"},
+      {"w_hi", synth, "50", "1.5"},
+      {"seed", {{"nodes", "30"}}, "3", "1.5"},
+      {"path", {}, "\"" + tree_files()[0] + "\"", ""},
+      {"model", synth, R"("sum")", R"("avg")"},
+      {"memory", synth, "100000", "1.5"},
+      {"memory_lb", synth, "1.5", "1e400"},
+      {"strategy", synth, R"("postorder")", R"("bogus")"},
+      {"workers", synth, "2", "-1"},
+      {"priority", replay, R"("critical-path")", R"("bogus")"},
+      {"evict", replay, R"("lru")", R"("bogus")"},
+      {"cost", replay, R"("unit")", R"("bogus")"},
+      {"backfill_depth", replay, "1", "-1"},
+      {"residency", disk, "true", ""},  // a JSON boolean is true or false
+      {"evict_seed", random, "5", "1.5"},
+      {"page_size", replay, "4", "0"},
+      {"disk_latency", disk, "0.5", "-1"},
+      {"disk_bandwidth", paged, "8", "-1"},
+      {"write_queue_depth", disk, "1", "-1"},
+      {"prefetch_window", disk, "1", "-1"},
+  };
+}
+
+std::string unquoted(const std::string& json) {
+  return json.starts_with('"') ? json.substr(1, json.size() - 2) : json;
+}
+
+/// The request `spelling` decodes to with `value`, as a JSONL line, a CSV
+/// row and request_from_fields pairs (in that order); or each decode error.
+std::vector<std::function<PlanRequest()>> decoders(const Spelling& spelling,
+                                                   const std::string& value) {
+  auto pairs = spelling.base;
+  pairs.emplace_back(spelling.field, value);
+  std::string line;
+  std::string header;
+  std::string row;
+  for (const auto& [name, json] : pairs) {
+    const std::string separator = line.empty() ? "" : ",";
+    line += separator + "\"" + name + "\":" + json;
+    header += separator + name;
+    row += separator + unquoted(json);
+  }
+  return {
+      [line = "{" + line + "}"] { return service::request_from_json(line); },
+      [csv = header + "\n" + row + "\n"] {
+        std::istringstream in(csv);
+        return service::read_requests_csv(in).at(0);
+      },
+      [pairs] {
+        std::vector<std::string> texts;
+        for (const auto& pair : pairs) texts.push_back(unquoted(pair.second));
+        std::vector<service::FieldText> fields;
+        for (std::size_t k = 0; k < pairs.size(); ++k) fields.push_back({pairs[k].first, texts[k]});
+        return service::request_from_fields(fields);
+      },
+  };
+}
+
+/// A decode error without the CSV reader's "line N: " prefix.
+std::string decode_error(const std::function<PlanRequest()>& decode) {
+  try {
+    (void)decode();
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    return what.starts_with("line 2: ") ? what.substr(8) : what;
+  }
+  return "accepted";
+}
+
+// One declaration per key: a value means the same request, and a bad
+// value the same error, whether it arrives as a JSONL key, a CSV cell or
+// a command-line option (request_from_fields). Only the array keys are
+// JSONL-only.
+TEST(RequestFields, EveryScalarKeyDecodesAlikeInEveryFormat) {
+  const std::vector<Spelling> all = spellings();
+  for (const service::RequestField& field : service::request_fields()) {
+    const auto spelled = [&](const Spelling& s) { return s.field == field.name; };
+    if (std::any_of(all.begin(), all.end(), spelled)) continue;
+    const std::vector<service::FieldText> array = {{field.name, "1"}};
+    EXPECT_NE(decode_error([&] { return service::request_from_fields(array); })
+                  .find("unknown request field '" + std::string(field.name) + "'"),
+              std::string::npos)
+        << "no spelling for the scalar field '" << field.name << "'";
+  }
+  for (const Spelling& s : all) {
+    SCOPED_TRACE(s.field + " = " + s.good);
+    std::vector<Keys> keys;
+    for (const auto& decode : decoders(s, s.good)) {
+      ASSERT_EQ(decode_error(decode), "accepted");
+      keys.push_back(keys_of(decode()));
+    }
+    for (std::size_t k = 1; k < keys.size(); ++k) {
+      EXPECT_EQ(keys[k].spec, keys[0].spec) << "decoder " << k;
+      EXPECT_EQ(keys[k].params, keys[0].params) << "decoder " << k;
+      EXPECT_EQ(keys[k].tree_hash, keys[0].tree_hash) << "decoder " << k;
+    }
+    if (s.bad.empty()) continue;
+    std::vector<std::string> errors;
+    for (const auto& decode : decoders(s, s.bad)) errors.push_back(decode_error(decode));
+    EXPECT_NE(errors[0], "accepted") << s.bad;
+    EXPECT_EQ(errors[1], errors[0]) << "CSV, " << s.bad;
+    EXPECT_EQ(errors[2], errors[0]) << "request_from_fields, " << s.bad;
+  }
 }
 
 }  // namespace

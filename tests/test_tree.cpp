@@ -1,10 +1,16 @@
 // Unit tests for the core Tree data structure and its serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/tree.hpp"
 #include "src/core/tree_io.hpp"
+#include "src/treegen/shapes.hpp"
 #include "test_support.hpp"
 
 namespace ooctree {
@@ -67,6 +73,48 @@ TEST(Tree, PostorderVisitsChildrenFirst) {
     }
   }
   EXPECT_EQ(order.back(), t.root());
+}
+
+void recursive_postorder(const Tree& t, NodeId node, std::vector<NodeId>& out) {
+  for (const NodeId c : t.children(node)) recursive_postorder(t, c, out);
+  out.push_back(node);
+}
+
+/// `t` with its node ids shuffled, so that neither the id order nor the
+/// stored child order follows the shape.
+Tree relabelled(const Tree& t, util::Rng& rng) {
+  std::vector<NodeId> new_id(t.size());
+  std::iota(new_id.begin(), new_id.end(), NodeId{0});
+  std::shuffle(new_id.begin(), new_id.end(), rng.engine());
+  std::vector<NodeId> parent(t.size(), kNoNode);
+  std::vector<Weight> weight(t.size());
+  for (NodeId i = 0; i < static_cast<NodeId>(t.size()); ++i) {
+    const auto k = static_cast<std::size_t>(new_id[static_cast<std::size_t>(i)]);
+    if (t.parent(i) != kNoNode) parent[k] = new_id[static_cast<std::size_t>(t.parent(i))];
+    weight[k] = t.weight(i);
+  }
+  return Tree::from_parents(std::move(parent), std::move(weight));
+}
+
+// The iterative walk must give exactly the recursive order (children in
+// stored order), from the root and from every other subtree root.
+TEST(Tree, PostorderMatchesRecursiveReference) {
+  util::Rng rng(29);
+  const std::vector<std::pair<std::string, Tree>> trees = {
+      {"random binary", relabelled(test::small_random_tree(300, 50, rng), rng)},
+      {"random wide", relabelled(test::small_random_wide_tree(300, 50, rng), rng)},
+      {"chain", treegen::chain_tree(std::vector<Weight>(200, 1))},
+      {"caterpillar", treegen::caterpillar_tree(40, 3, 1)},
+      {"star", treegen::star_tree(60, 1, 1)},
+  };
+  for (const auto& [name, t] : trees) {
+    for (NodeId r = 0; r < static_cast<NodeId>(t.size()); ++r) {
+      std::vector<NodeId> expected;
+      recursive_postorder(t, r, expected);
+      ASSERT_EQ(t.postorder(r), expected) << name << ", subtree of node " << r;
+    }
+    EXPECT_EQ(t.postorder(), t.postorder(t.root())) << name;
+  }
 }
 
 TEST(Tree, SubtreeExtraction) {

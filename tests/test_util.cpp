@@ -56,7 +56,7 @@ TEST(AsciiPlot, RendersSeriesAndLegend) {
 TEST(Args, ParsesOptionsAndPositionals) {
   const char* argv[] = {"prog", "--n", "30",  "--flag", "--name=x,y",
                         "pos1", "--ratio", "0.5", "pos2"};
-  const auto args = util::Args::parse(9, argv);
+  const auto args = util::Args::parse(9, argv, {"n", "flag", "name", "ratio", "missing"});
   EXPECT_EQ(args.get_int("n", 0), 30);
   EXPECT_TRUE(args.has("flag"));
   EXPECT_EQ(args.get("name", ""), "x,y");
@@ -67,14 +67,14 @@ TEST(Args, ParsesOptionsAndPositionals) {
 
 TEST(Args, ThrowsOnBadNumbers) {
   const char* argv[] = {"prog", "--n", "abc"};
-  const auto args = util::Args::parse(3, argv);
+  const auto args = util::Args::parse(3, argv, {"n"});
   EXPECT_THROW((void)args.get_int("n", 0), std::runtime_error);
   EXPECT_THROW((void)args.get_double("n", 0.0), std::runtime_error);
 }
 
 TEST(Args, RejectsTrailingGarbage) {
   const char* argv[] = {"prog", "--n", "12abc", "--ratio", "0.5x", "--pi", "3.14.15"};
-  const auto args = util::Args::parse(7, argv);
+  const auto args = util::Args::parse(7, argv, {"n", "ratio", "pi"});
   EXPECT_THROW((void)args.get_int("n", 0), std::runtime_error);
   EXPECT_THROW((void)args.get_double("n", 0.0), std::runtime_error);
   EXPECT_THROW((void)args.get_double("ratio", 0.0), std::runtime_error);
@@ -83,11 +83,27 @@ TEST(Args, RejectsTrailingGarbage) {
 
 TEST(Args, AcceptsFullNumericParses) {
   const char* argv[] = {"prog", "--n", "-42", "--ratio", "2.5e-1", "--whole", "3."};
-  const auto args = util::Args::parse(7, argv);
+  const auto args = util::Args::parse(7, argv, {"n", "ratio", "whole"});
   EXPECT_EQ(args.get_int("n", 0), -42);
   EXPECT_DOUBLE_EQ(args.get_double("ratio", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(args.get_double("whole", 0.0), 3.0);
   EXPECT_THROW((void)args.get_int("ratio", 0), std::runtime_error);  // "2.5e-1" is not an int
+}
+
+// An option the program does not read is an error naming it and every
+// accepted option, in either spelling; names that are read still parse.
+TEST(Args, RejectsUnknownOptionsListingTheAccepted) {
+  for (const char* bogus : {"--bogus", "--bogus=3"}) {
+    const char* argv[] = {"prog", "--n", "3", bogus, "4"};
+    try {
+      (void)util::Args::parse(5, argv, {"n", "flag"});
+      ADD_FAILURE() << bogus << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "unknown option --bogus (accepted: --n, --flag)") << bogus;
+    }
+  }
+  const char* argv[] = {"prog", "--flag", "pos"};
+  EXPECT_TRUE(util::Args::parse(3, argv, {"n", "flag"}).has("flag"));
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

@@ -99,7 +99,8 @@ int run(const util::Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(util::Args::parse(argc, argv));
+    return run(util::Args::parse(
+        argc, argv, {"in", "out", "synth", "w-lo", "w-hi", "seed", "model", "probe", "help"}));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tree_pack: %s\n", e.what());
     return 1;
