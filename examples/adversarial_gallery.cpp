@@ -4,6 +4,7 @@
 //
 //   $ ./adversarial_gallery [--memory 8] [--levels 3] [--k 3]
 #include <cstdio>
+#include <exception>
 
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minio_postorder.hpp"
@@ -37,9 +38,7 @@ void show(const char* title, const treegen::PaperInstance& inst) {
   std::printf("PostOrderMinIO: %lld I/O units\n\n", (long long)post.predicted_io);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const auto args = util::Args::parse(argc, argv, {"memory", "levels", "k"});
   const Weight m = args.get_int("memory", 8);
   const auto levels = static_cast<std::size_t>(args.get_int("levels", 3));
@@ -52,4 +51,15 @@ int main(int argc, char** argv) {
   show("Figure 6: expansion fixes OptMinMem", treegen::fig6());
   show("Figure 7: sometimes only the postorder wins", treegen::fig7());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -9,6 +9,7 @@
 // in-core peak). This gives downstream users the exact inputs behind the
 // figures without linking against the library.
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "src/core/minmem_optimal.hpp"
@@ -20,7 +21,9 @@
 #include "src/util/args.hpp"
 #include "src/util/csv.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ooctree;
   using core::Weight;
 
@@ -78,4 +81,15 @@ int main(int argc, char** argv) {
 
   std::printf("stats: %s/stats.csv\n", out_dir.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

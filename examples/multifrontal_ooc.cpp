@@ -9,6 +9,7 @@
 // peak, comparing the paper's strategies and replaying the winner through
 // the paged engine at one worker (the sequential page-granular replay).
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 
 #include "src/core/minmem_optimal.hpp"
@@ -20,7 +21,9 @@
 #include "src/sparse/ordering.hpp"
 #include "src/util/args.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ooctree;
   using core::Weight;
 
@@ -101,4 +104,15 @@ int main(int argc, char** argv) {
               (long long)replay.pages_written, (long long)replay.pages_read,
               (long long)replay.peak_frames_used);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

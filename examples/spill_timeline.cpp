@@ -8,6 +8,7 @@
 // estimates wall-clock I/O time under a simple disk model — the "what will
 // this actually do to my run time" view of a spill plan.
 #include <cstdio>
+#include <exception>
 
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/strategies.hpp"
@@ -15,7 +16,9 @@
 #include "src/treegen/random_binary.hpp"
 #include "src/util/args.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ooctree;
   using core::Weight;
 
@@ -51,4 +54,15 @@ int main(int argc, char** argv) {
   std::printf("disk model: %.1e s latency, %.1e units/s bandwidth -> I/O time %.6f s\n",
               disk.latency_s, disk.bandwidth_per_s, iosim::io_time(trace, disk));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

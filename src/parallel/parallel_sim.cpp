@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 
 #include "src/core/check.hpp"
 #include "src/core/minmem_postorder.hpp"
+#include "src/parallel/ready_set.hpp"
 #include "src/util/rng.hpp"
 
 namespace ooctree::parallel {
@@ -44,91 +43,21 @@ std::int64_t policy_key(EvictionPolicy policy, const Tree& tree, NodeId node, We
   throw std::invalid_argument("simulate_parallel: unknown eviction policy");
 }
 
-/// The ready tasks of a replay, indexed by priority rank (rank 0 starts
-/// first). A task's rank is fixed for the whole replay and so is its
-/// work_frames, the quantity its fit test thresholds, so the set is a
-/// segment tree over ranks: a leaf holds its task's work_frames while the
-/// task is ready, and each internal node the minimum and the ready count of
-/// its leaves. Insert, erase, first-fit-from-rank and k-th-ready each cost
-/// O(log n), which lets a scan in priority order skip every task that does
-/// not fit in one walk and count what it skipped.
-class ReadySet {
- public:
-  explicit ReadySet(std::size_t n) : n_(n) {
-    while (leaves_ < n) leaves_ *= 2;
-    nodes_.assign(2 * leaves_, Node{});
+/// Checks that `ref` is a topological order of `tree` and records each
+/// task's position in it in the same pass (n marks a task not yet seen).
+bool fill_positions(const Tree& tree, const Schedule& ref, std::vector<std::size_t>& pos) {
+  const std::size_t n = tree.size();
+  pos.assign(n, n);
+  if (ref.size() != n) return false;
+  for (std::size_t t = 0; t < n; ++t) {
+    const NodeId node = ref[t];
+    if (node < 0 || idx(node) >= n || pos[idx(node)] != n) return false;
+    for (const NodeId c : tree.children(node))
+      if (pos[idx(c)] == n) return false;
+    pos[idx(node)] = t;
   }
-
-  void insert(std::size_t rank, Weight frames) { set_leaf(rank, Node{frames, 1}); }
-  void erase(std::size_t rank) { set_leaf(rank, Node{}); }
-  [[nodiscard]] bool contains(std::size_t rank) const { return nodes_[leaves_ + rank].count > 0; }
-
-  /// The first ready rank >= `from` whose frames fit in `slack` (n when
-  /// none does); `passed` receives the number of ready ranks before it.
-  [[nodiscard]] std::size_t first_fit(std::size_t from, Weight slack,
-                                      std::int64_t& passed) const {
-    return walk(from, passed, [slack](const Node& node, std::int64_t) {
-      return node.count == 0 || node.min > slack;
-    });
-  }
-
-  /// The k-th (1-based) ready rank >= `from`, or n when fewer are ready.
-  [[nodiscard]] std::size_t kth(std::size_t from, std::int64_t k) const {
-    std::int64_t passed = 0;
-    return walk(from, passed, [k](const Node& node, std::int64_t before) {
-      return before + node.count < k;
-    });
-  }
-
-  /// Recomputes every internal node from its children.
-  void audit() const {
-    for (std::size_t p = 1; p < leaves_; ++p)
-      core::audit_check(nodes_[p].min == std::min(nodes_[2 * p].min, nodes_[2 * p + 1].min) &&
-                            nodes_[p].count == nodes_[2 * p].count + nodes_[2 * p + 1].count,
-                        "simulate_parallel_paged: ready set aggregates out of date");
-  }
-
- private:
-  struct Node {
-    Weight min = std::numeric_limits<Weight>::max();
-    std::int64_t count = 0;
-  };
-
-  void set_leaf(std::size_t rank, Node leaf) {
-    std::size_t p = leaves_ + rank;
-    nodes_[p] = leaf;
-    for (p /= 2; p > 0; p /= 2)
-      nodes_[p] = Node{std::min(nodes_[2 * p].min, nodes_[2 * p + 1].min),
-                       nodes_[2 * p].count + nodes_[2 * p + 1].count};
-  }
-
-  // Walks right from leaf `from` over maximal subtrees that `skip` rejects
-  // whole, adding their ready counts to `passed`, then descends into the
-  // first subtree it does not reject down to its leftmost accepted leaf.
-  // Returns that leaf's rank, or n when every leaf from `from` on is skipped.
-  template <class Skip>
-  std::size_t walk(std::size_t from, std::int64_t& passed, Skip skip) const {
-    passed = 0;
-    if (from >= n_) return n_;
-    std::size_t p = leaves_ + from;
-    do {
-      while (p % 2 == 0) p /= 2;
-      if (!skip(nodes_[p], passed)) {
-        while (p < leaves_) {
-          p *= 2;
-          if (skip(nodes_[p], passed)) passed += nodes_[p++].count;
-        }
-        return p - leaves_;
-      }
-      passed += nodes_[p++].count;
-    } while ((p & (p - 1)) != 0);  // stop once the walk passed the last leaf
-    return n_;
-  }
-
-  std::size_t n_;
-  std::size_t leaves_ = 1;
-  std::vector<Node> nodes_;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -153,35 +82,31 @@ PreparedReplay prepare_replay(const Tree& tree, const ParallelConfig& config,
 
   PreparedReplay p;
   p.ref = reference.empty() ? core::postorder_minmem(tree).schedule : reference;
-  if (!core::is_topological_order(tree, p.ref))
+  if (!fill_positions(tree, p.ref, p.ref_pos))
     throw std::invalid_argument("simulate_parallel: reference is not a topological order");
-  p.ref_pos = core::schedule_positions(tree, p.ref);
 
-  p.priority_key.assign(tree.size(), 0.0);
-  std::vector<double> up(tree.size(), 0.0);
-  std::vector<double> subtree(tree.size(), 0.0);
-  for (const NodeId v : tree.postorder()) {
-    double deepest = 0.0;
-    double work = task_cost(tree, v, config.cost);
-    for (const NodeId c : tree.children(v)) {
-      deepest = std::max(deepest, up[idx(c)]);
-      work += subtree[idx(c)];
-    }
-    up[idx(v)] = deepest + task_cost(tree, v, config.cost);
-    subtree[idx(v)] = work;
-  }
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    switch (config.priority) {
-      case Priority::kSequentialOrder:
-        p.priority_key[i] = -static_cast<double>(p.ref_pos[i]);
-        break;
-      case Priority::kCriticalPath:
-        p.priority_key[i] = up[i];
-        break;
-      case Priority::kHeaviestSubtree:
-        p.priority_key[i] = subtree[i];
-        break;
-    }
+  // The aggregates walk the validated reference, which lists every child
+  // before its parent, and accumulate in place.
+  std::vector<double>& key = p.priority_key;
+  key.assign(tree.size(), 0.0);
+  switch (config.priority) {
+    case Priority::kSequentialOrder:
+      for (std::size_t i = 0; i < tree.size(); ++i) key[i] = -static_cast<double>(p.ref_pos[i]);
+      break;
+    case Priority::kCriticalPath:  // longest cost path down to a leaf
+      for (const NodeId v : p.ref) {
+        double deepest = 0.0;
+        for (const NodeId c : tree.children(v)) deepest = std::max(deepest, key[idx(c)]);
+        key[idx(v)] = deepest + task_cost(tree, v, config.cost);
+      }
+      break;
+    case Priority::kHeaviestSubtree:  // cost of the whole subtree
+      for (const NodeId v : p.ref) {
+        double work = task_cost(tree, v, config.cost);
+        for (const NodeId c : tree.children(v)) work += key[idx(c)];
+        key[idx(v)] = work;
+      }
+      break;
   }
   return p;
 }
@@ -236,7 +161,7 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
                                             const Schedule& reference) {
   if (config.page_size <= 0)
     throw std::invalid_argument("simulate_parallel_paged: page_size must be positive");
-  const PreparedReplay prep = prepare_replay(tree, config.base, reference);
+  PreparedReplay prep = prepare_replay(tree, config.base, reference);
   const std::vector<std::size_t>& ref_pos = prep.ref_pos;
   const std::vector<double>& priority_key = prep.priority_key;
   const ParallelConfig& base = config.base;
@@ -249,6 +174,7 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
   result.io.assign(tree.size(), 0);
   result.start_time.assign(tree.size(), -1.0);
   result.finish_time.assign(tree.size(), -1.0);
+  result.start_order.reserve(tree.size());
 
   // Page geometry: a datum occupies total_pages frames; a running task
   // holds work_frames = task_frames (children's page-rounded outputs +
@@ -273,19 +199,29 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
 
   // Ready tasks in the rank-indexed set. Rank order is priority order:
   // higher priority key first, ties to the earlier reference position.
+  // Under kSequentialOrder the keys are -ref_pos, all distinct, so the
+  // reference is already in rank order and ref_pos is the rank. Otherwise
+  // the order is a strict total one, so sorting the reference gives the
+  // same ranks as sorting any other permutation.
   const std::size_t n = tree.size();
-  std::vector<NodeId> by_rank(n);
-  std::iota(by_rank.begin(), by_rank.end(), NodeId{0});
-  std::sort(by_rank.begin(), by_rank.end(), [&](NodeId a, NodeId b) {
-    const double ka = priority_key[idx(a)];
-    const double kb = priority_key[idx(b)];
-    return ka != kb ? ka > kb : ref_pos[idx(a)] < ref_pos[idx(b)];
-  });
-  std::vector<std::size_t> rank_of(n);
-  for (std::size_t r = 0; r < n; ++r) rank_of[idx(by_rank[r])] = r;
+  std::vector<NodeId> by_rank = std::move(prep.ref);
+  std::vector<std::size_t> sorted_rank_of;
+  if (base.priority != Priority::kSequentialOrder) {
+    std::sort(by_rank.begin(), by_rank.end(), [&](NodeId a, NodeId b) {
+      const double ka = priority_key[idx(a)];
+      const double kb = priority_key[idx(b)];
+      return ka != kb ? ka > kb : ref_pos[idx(a)] < ref_pos[idx(b)];
+    });
+    sorted_rank_of.resize(n);
+    for (std::size_t r = 0; r < n; ++r) sorted_rank_of[idx(by_rank[r])] = r;
+  }
+  const std::vector<std::size_t>& rank_of =
+      base.priority == Priority::kSequentialOrder ? ref_pos : sorted_rank_of;
+  // The leaves are the initially ready tasks: placed, then built in O(n).
   ReadySet ready(n);
   for (std::size_t i = 0; i < n; ++i)
-    if (missing_children[i] == 0) ready.insert(rank_of[i], work_frames[i]);
+    if (missing_children[i] == 0) ready.place(rank_of[i], work_frames[i]);
+  ready.build();
 
   // Running tasks as (finish_time, node) events.
   using Event = std::pair<double, NodeId>;
@@ -614,6 +550,7 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
   std::vector<NodeId> predicted;        // prefetch scan: predicted next starts
   std::vector<char> taken;              // prefetch scan: candidates already predicted
   std::vector<std::pair<NodeId, int>> sim_dec;  // prefetch scan: replayed completions
+  decltype(running) run_copy;                   // prefetch scan: replayed event heap
   while (completed < n) {
     if (!residency) {
       // Start ready tasks in priority order: the first fitting task of the
@@ -769,13 +706,15 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
       // fits — all deterministic from here. The first predicted start is
       // exact; later ones degrade gracefully.
       // The candidates start as the first scan_cap ready ranks, read in
-      // place. The sum is 64-bit: both knobs may be as large as INT_MAX.
+      // place by the bitset's word scan. The sum is 64-bit: both knobs may
+      // be as large as INT_MAX.
       const std::int64_t scan_cap =
           std::int64_t{base.prefetch_window} + (depth > 0 ? depth : 16);
       cands.clear();
-      for (std::size_t r = 0;
-           static_cast<std::int64_t>(cands.size()) < scan_cap && (r = ready.kth(r, 1)) < n; ++r)
+      for (std::size_t r = ready.next(0); r < n; r = ready.next(r + 1)) {
         cands.push_back(by_rank[r]);
+        if (static_cast<std::int64_t>(cands.size()) >= scan_cap) break;
+      }
       predicted.clear();
       taken.assign(cands.size(), 0);
       sim_dec.clear();
@@ -793,8 +732,9 @@ PagedParallelResult simulate_parallel_paged(const Tree& tree, const PagedParalle
         // The replay is self-extending: a predicted start's completion
         // (round time + cost, both known) re-enters the event heap and can
         // activate further parents, so the horizon is bounded by the
-        // window, not by the current running set.
-        auto run_copy = running;
+        // window, not by the current running set. Copy-assigning reuses
+        // the heap's buffer, so a prediction round allocates nothing.
+        run_copy = running;
         Weight run_frames_pred = running_frames;
         int idle_pred = idle;
         while (!consumer_predicted && !run_copy.empty() &&

@@ -38,16 +38,23 @@
 //     exceeds its page-rounded size;
 //   * indexed eviction and ready set — victims come from
 //     core::EvictionIndex and ready tasks from a segment tree over their
-//     fixed priority ranks, each in O(log n), never from a scan of all n
-//     nodes. A worker slot's scan jumps to the first ready task that fits
-//     and counts the ready tasks it passed as failed starts, so failures
-//     cost nothing per task and the strict and backfill scans run in
-//     O((n + evictions) log n) per simulation. On top of that the
+//     fixed priority ranks (ReadySet, src/parallel/ready_set.hpp), each in
+//     O(log n), never from a scan of all n nodes. Under kSequentialOrder
+//     the ranks are the reference positions, taken as they are in O(n);
+//     the other priorities sort once, O(n log n). The set is built in O(n)
+//     from the initially ready leaves. A worker slot's scan jumps to the
+//     first ready task that fits and counts the ready tasks it passed as
+//     failed starts, so failures cost nothing per task and the strict and
+//     backfill scans run in O((n + evictions) log n) per simulation. On
+//     top of that the
 //     residency-aware scan compares its window's fitting candidates,
 //     O(window) per slot (backfill_depth tasks, or every fitting ready task
 //     at depth 0), and the prefetch prediction replays the start rule
 //     against the in-flight completions, O(prefetch_window · (depth +
-//     workers)) per round that has an unreserved frame. A round whose
+//     workers)) per round that has an unreserved frame. It reads its
+//     candidates by a word scan of the set's ready-rank bitset, and its
+//     per-round scratch (the replayed event heap included) reuses its
+//     buffers, so a round allocates nothing. A round whose
 //     running tasks reserve every frame has no free frame to stage into
 //     and no resident output to evict, so it skips the prediction; at
 //     full memory it also stops predicting once the consumer of the

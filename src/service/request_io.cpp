@@ -268,7 +268,16 @@ void parse_into(const Field& field, Tokens tokens, T& out) {
   } else if constexpr (std::is_same_v<T, std::string>) {
     out = text;
   } else if constexpr (std::is_enum_v<T>) {
-    parse_name(std::string(text), out);
+    // The name parsers say "unknown <what> 'x' (a | b)"; the field error
+    // keeps the list of accepted names.
+    try {
+      parse_name(std::string(text), out);
+    } catch (const std::exception& e) {
+      const std::string_view what = e.what();
+      const std::size_t list = what.rfind(" (");
+      bad_value(field, text,
+                "is unknown" + std::string(list == std::string_view::npos ? "" : what.substr(list)));
+    }
   } else {
     out.clear();
     out.reserve(tokens.size());

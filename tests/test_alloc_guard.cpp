@@ -9,7 +9,9 @@
 // allocates a bounded number of times on a 16000-node SYNTH tree — a
 // per-node allocation anywhere on the path costs thousands and fails here.
 // The cold .mtx path (reader, minimum degree, permutation, assembly tree)
-// is held to the same bound.
+// is held to the same bound, and so is one paged replay: the engine sizes
+// its state once per replay and reuses its per-round scratch, so its count
+// does not grow with the tree or the number of scheduling rounds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,7 @@
 #include "src/core/minio_postorder.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/rec_expand.hpp"
+#include "src/parallel/parallel_sim.hpp"
 #include "src/service/request.hpp"
 #include "src/sparse/generators.hpp"
 #include "src/sparse/matrix_market.hpp"
@@ -173,6 +176,33 @@ TEST(AllocationGuardMatrixMarket, TreeFromBytes) {
     });
     EXPECT_GT(size, 0u);
     EXPECT_LT(n, kMaxAllocations) << "n = " << pattern.size();
+  }
+}
+
+// One replay in the replay-paged shape, with the prefetch prediction on:
+// every scheduling round replays the running set, which must reuse its
+// buffers rather than copy them.
+TEST(AllocationGuardPagedReplay, SimulateParallelPaged) {
+  for (const std::size_t nodes : {std::size_t{3000}, std::size_t{10000}}) {
+    util::Rng rng(29);
+    const Tree tree = treegen::synth_instance(nodes, 1, 100, rng);
+    const core::Schedule reference = core::opt_minmem(tree).schedule;
+    for (const bool residency : {false, true}) {
+      parallel::PagedParallelConfig config;
+      config.base.workers = 4;
+      config.base.memory = tree.min_feasible_memory() * 3 / 2;
+      config.base.priority = parallel::Priority::kSequentialOrder;
+      config.base.backfill_depth = 8;
+      config.base.prefetch_window = 8;
+      config.base.residency_aware = residency;
+      config.page_size = 32;
+      config.disk = iosim::DiskModel{0.5, 64.0};
+      bool feasible = false;
+      const std::size_t n = allocations_of(
+          [&] { feasible = parallel::simulate_parallel_paged(tree, config, reference).base.feasible; });
+      EXPECT_TRUE(feasible);
+      EXPECT_LT(n, kMaxAllocations) << "n = " << nodes << ", residency " << residency;
+    }
   }
 }
 

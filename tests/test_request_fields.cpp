@@ -12,6 +12,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -362,7 +363,7 @@ std::vector<std::function<PlanRequest()>> decoders(const Spelling& spelling,
 std::string decode_error(const std::function<PlanRequest()>& decode) {
   try {
     (void)decode();
-  } catch (const std::exception& e) {
+  } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     return what.starts_with("line 2: ") ? what.substr(8) : what;
   }
@@ -403,6 +404,15 @@ TEST(RequestFields, EveryScalarKeyDecodesAlikeInEveryFormat) {
     EXPECT_EQ(errors[1], errors[0]) << "CSV, " << s.bad;
     EXPECT_EQ(errors[2], errors[0]) << "request_from_fields, " << s.bad;
   }
+}
+
+// An enum field names itself and lists its accepted values, in the shape
+// the numeric fields have, whichever decoder reads it.
+TEST(RequestFields, BadEnumValueNamesTheField) {
+  const Spelling strategy = {"strategy", {{"nodes", "30"}, {"seed", "3"}}, "", ""};
+  for (const auto& decode : decoders(strategy, R"("bogus")"))
+    EXPECT_EQ(decode_error(decode),
+              "field 'strategy': 'bogus' is unknown (postorder | optminmem | recexpand | full)");
 }
 
 }  // namespace
