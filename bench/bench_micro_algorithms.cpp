@@ -237,9 +237,11 @@ BENCHMARK(BM_AssemblyTree)->Arg(64)->Arg(128);
 // The replay-paged shape of the end-to-end benchmark: a SYNTH tree
 // replayed along its OptMinMem schedule at M = 1.5 x LB with 32-unit pages
 // and a {0.5, 64} disk, sequential-order priority and Belady eviction.
-// range(0) is n, range(1) backfill_depth, range(2) prefetch_window and
+// range(0) is n, range(1) backfill_depth, range(2) prefetch_window,
 // range(3) workers (the share of rounds whose running tasks reserve every
-// frame, which skip the prefetch prediction, depends on it).
+// frame, which skip the prefetch prediction, depends on it), range(4)
+// residency_aware and range(5) write_queue_depth, so the rows time both
+// kinds of slot scan and the write queue.
 void BM_SimulateParallelPaged(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 1);
   const core::Schedule reference = core::opt_minmem(t).schedule;
@@ -249,20 +251,28 @@ void BM_SimulateParallelPaged(benchmark::State& state) {
   config.base.priority = parallel::Priority::kSequentialOrder;
   config.base.backfill_depth = static_cast<int>(state.range(1));
   config.base.prefetch_window = static_cast<int>(state.range(2));
+  config.base.residency_aware = state.range(4) != 0;
+  config.base.write_queue_depth = static_cast<int>(state.range(5));
   config.page_size = 32;
   config.disk = iosim::DiskModel{0.5, 64.0};
-  std::int64_t failed_starts = 0;
+  parallel::PagedParallelResult last;
   for (auto _ : state) {
-    const auto r = parallel::simulate_parallel_paged(t, config, reference);
-    failed_starts = r.base.failed_starts;
-    benchmark::DoNotOptimize(r.base.makespan);
+    last = parallel::simulate_parallel_paged(t, config, reference);
+    benchmark::DoNotOptimize(last.base.makespan);
   }
-  state.counters["failed_starts"] = static_cast<double>(failed_starts);
+  // The counters of the last replay: a paired run that changes only speed
+  // shows every one of them unchanged.
+  state.counters["failed_starts"] = static_cast<double>(last.base.failed_starts);
+  state.counters["backfill_scans"] = static_cast<double>(last.base.backfill_scans);
+  state.counters["backfill_hits"] = static_cast<double>(last.base.backfill_hits);
+  state.counters["pages_written"] = static_cast<double>(last.pages_written);
+  state.counters["pages_read"] = static_cast<double>(last.pages_read);
+  state.counters["prefetch_useful"] = static_cast<double>(last.prefetch_useful);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulateParallelPaged)
-    ->ArgNames({"n", "depth", "window", "workers"})
-    ->ArgsProduct({{3000, 10000}, {0, 8}, {0, 8}, {2, 4, 8}})
+    ->ArgNames({"n", "depth", "window", "workers", "residency", "queue"})
+    ->ArgsProduct({{3000, 10000}, {0, 8}, {0, 8}, {2, 4, 8}, {0, 1}, {0, 8}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

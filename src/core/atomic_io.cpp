@@ -116,7 +116,6 @@ AtomicBruteForceResult brute_force_min_io_atomic(const Tree& tree, Weight memory
       [&](const Schedule& schedule) {
         // For this order, test every spill subset (cheapest first would
         // need sorting; a running best-bound prune suffices at this size).
-        const std::vector<std::size_t> pos = schedule_positions(tree, schedule);
         const std::size_t subsets = std::size_t{1} << candidates.size();
         for (std::size_t mask = 0; mask < subsets; ++mask) {
           Weight volume = 0;

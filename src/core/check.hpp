@@ -91,6 +91,11 @@ inline std::atomic<int> pager{0};
 inline std::atomic<int> parallel_engine{0};
 }  // namespace fault
 
+/// True when the simulate_parallel_paged fault `bit` is set.
+[[nodiscard]] inline bool parallel_engine_fault(int bit) {
+  return (fault::parallel_engine.load(std::memory_order_relaxed) & bit) != 0;
+}
+
 /// RAII reset of every fault flag — fault tests hold one so an
 /// EXPECT_THROW that fires (or fails to) cannot poison later tests.
 class FaultGuard {
@@ -104,6 +109,10 @@ class FaultGuard {
     fault::parallel_engine.store(0);
   }
 };
+#else
+/// Outside audit builds no fault can be set, so every injection site
+/// compiles away.
+[[nodiscard]] constexpr bool parallel_engine_fault(int /*bit*/) { return false; }
 #endif  // OOCTREE_AUDIT_ENABLED
 
 }  // namespace ooctree::core

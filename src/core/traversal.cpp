@@ -43,7 +43,6 @@ std::optional<std::string> validate_traversal(const Tree& tree, const Schedule& 
   // Memory condition: while executing node i, every *active* node k
   // (produced, parent not yet executed, and k not a child of i) keeps
   // w_k - tau(k) units resident; the total plus wbar(i) must fit in M.
-  const std::vector<std::size_t> pos = schedule_positions(tree, schedule);
   Weight active_resident = 0;  // sum over active nodes of (w_k - tau(k))
   for (std::size_t t = 0; t < schedule.size(); ++t) {
     const NodeId node = schedule[t];
@@ -57,7 +56,6 @@ std::optional<std::string> validate_traversal(const Tree& tree, const Schedule& 
       return os.str();
     }
     if (node != tree.root()) active_resident += tree.weight(node) - io[idx(node)];
-    (void)pos;
   }
   return std::nullopt;
 }

@@ -27,7 +27,27 @@
 //
 // One engine implements both: simulate_parallel is the page_size = 1,
 // free-read specialization of the paged core, so the two APIs cannot
-// drift. Invariants of the shared core:
+// drift. The core is a class local to parallel_sim.cpp (PagedEngine) that
+// holds one replay's state — per-node page arrays, the ready set, the
+// eviction index, the device clock and the per-round scratch — and runs
+// each scheduling round as phases:
+//   * slot scan — every free worker slot walks the ready set in priority
+//     order, at most backfill_depth tasks deep (0 = all), and starts the
+//     fitting task of its window with the fewest child pages to read back,
+//     ties to priority. Without residency-aware starts (or without a disk
+//     model, where reads are free) every candidate counts as fully
+//     resident, so the first fitting task starts: the strict/backfill rule.
+//     There is one scan for both;
+//   * start, spill and read — a start evicts until it fits (each spill
+//     writes only never-written pages, through the write queue when one is
+//     set) and reads its children's evicted pages back, demand reads and
+//     prefetch reads alike through one device timeline;
+//   * predict and stage — with prefetch_window > 0, replay the start rule
+//     against the in-flight completions and stage the predicted starts'
+//     evicted pages;
+//   * complete — advance to the next finish event and ready its parent;
+//   * audit — under OOCTREE_AUDIT builds only (below).
+// Invariants of the core:
 //   * transactional starts — fitting reduces to the O(1) check
 //     running_frames + task_frames(i) <= frames (every live output except
 //     i's own children is fully evictable), so a start that cannot fit
@@ -42,32 +62,31 @@
 //     O(log n), never from a scan of all n nodes. Under kSequentialOrder
 //     the ranks are the reference positions, taken as they are in O(n);
 //     the other priorities sort once, O(n log n). The set is built in O(n)
-//     from the initially ready leaves. A worker slot's scan jumps to the
-//     first ready task that fits and counts the ready tasks it passed as
-//     failed starts, so failures cost nothing per task and the strict and
-//     backfill scans run in O((n + evictions) log n) per simulation. On
-//     top of that the
-//     residency-aware scan compares its window's fitting candidates,
-//     O(window) per slot (backfill_depth tasks, or every fitting ready task
-//     at depth 0), and the prefetch prediction replays the start rule
-//     against the in-flight completions, O(prefetch_window · (depth +
-//     workers)) per round that has an unreserved frame. It reads its
-//     candidates by a word scan of the set's ready-rank bitset, and its
-//     per-round scratch (the replayed event heap included) reuses its
-//     buffers, so a round allocates nothing. A round whose
-//     running tasks reserve every frame has no free frame to stage into
-//     and no resident output to evict, so it skips the prediction; at
-//     full memory it also stops predicting once the consumer of the
-//     staging victim is predicted, which pins the victim so that nothing
-//     would be staged (not under kRandom, whose victim draw consumes the
-//     RNG).
-// Under OOCTREE_AUDIT builds (the dev preset) the engine re-checks these
-// invariants at runtime after every completion event — reservation
-// balance, frames conservation, write-at-most-once, mutation-free failed
-// starts — and, every round, that a full reservation coincides with full
-// memory and an empty eviction index, throwing core::AuditError on drift
+//     from the initially ready leaves. A slot's scan jumps to the next
+//     ready task that fits and counts the ready tasks it passed as failed
+//     starts, so failures cost nothing per task: without residency the
+//     scans run in O((n + evictions) log n) per simulation. With it a slot
+//     also weighs its window's fitting candidates, O(window) per slot
+//     (backfill_depth tasks, or every fitting ready task at depth 0). The
+//     prefetch prediction replays the start rule against the in-flight
+//     completions, O(prefetch_window · (depth + workers)) per round that
+//     has an unreserved frame. It reads its candidates by a word scan of
+//     the set's ready-rank bitset, and the per-round scratch (the replayed
+//     event heap and the write queue's ring included) reuses its buffers,
+//     so a round allocates nothing. A round whose running tasks reserve
+//     every frame has no free frame to stage into and no resident output
+//     to evict, so it skips the prediction; at full memory it also stops
+//     predicting once the consumer of the staging victim is predicted,
+//     which pins the victim so that nothing would be staged (not under
+//     kRandom, whose victim draw consumes the RNG).
+// Under OOCTREE_AUDIT builds (the dev preset) the audit phase re-checks
+// these invariants after every completion event — reservation balance,
+// frames conservation, write-at-most-once, mutation-free failed starts —
+// and, every round, that a full reservation coincides with full memory and
+// an empty eviction index, throwing core::AuditError on drift
 // (src/core/check.hpp; exercised plus fault-injected by
-// tests/test_audit.cpp).
+// tests/test_audit.cpp). Outside audit builds the checks and the fault
+// hooks compile away.
 // Three engines in tests/oracles/, outside the shipped library, are the
 // differential oracles; the two parallel ones rank tasks through the same
 // prepare_replay().

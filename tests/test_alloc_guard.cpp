@@ -181,27 +181,37 @@ TEST(AllocationGuardMatrixMarket, TreeFromBytes) {
 
 // One replay in the replay-paged shape, with the prefetch prediction on:
 // every scheduling round replays the running set, which must reuse its
-// buffers rather than copy them.
+// buffers rather than copy them. The write queue reuses its buffer too, so
+// turning it on adds a few allocations, not one per batch of evictions.
 TEST(AllocationGuardPagedReplay, SimulateParallelPaged) {
   for (const std::size_t nodes : {std::size_t{3000}, std::size_t{10000}}) {
     util::Rng rng(29);
     const Tree tree = treegen::synth_instance(nodes, 1, 100, rng);
     const core::Schedule reference = core::opt_minmem(tree).schedule;
     for (const bool residency : {false, true}) {
-      parallel::PagedParallelConfig config;
-      config.base.workers = 4;
-      config.base.memory = tree.min_feasible_memory() * 3 / 2;
-      config.base.priority = parallel::Priority::kSequentialOrder;
-      config.base.backfill_depth = 8;
-      config.base.prefetch_window = 8;
-      config.base.residency_aware = residency;
-      config.page_size = 32;
-      config.disk = iosim::DiskModel{0.5, 64.0};
-      bool feasible = false;
-      const std::size_t n = allocations_of(
-          [&] { feasible = parallel::simulate_parallel_paged(tree, config, reference).base.feasible; });
-      EXPECT_TRUE(feasible);
-      EXPECT_LT(n, kMaxAllocations) << "n = " << nodes << ", residency " << residency;
+      std::size_t queue_off = 0;
+      for (const int queue : {0, 8}) {
+        parallel::PagedParallelConfig config;
+        config.base.workers = 4;
+        config.base.memory = tree.min_feasible_memory() * 3 / 2;
+        config.base.priority = parallel::Priority::kSequentialOrder;
+        config.base.backfill_depth = 8;
+        config.base.prefetch_window = 8;
+        config.base.residency_aware = residency;
+        config.base.write_queue_depth = queue;
+        config.page_size = 32;
+        config.disk = iosim::DiskModel{0.5, 64.0};
+        bool feasible = false;
+        const std::size_t n = allocations_of([&] {
+          feasible = parallel::simulate_parallel_paged(tree, config, reference).base.feasible;
+        });
+        EXPECT_TRUE(feasible);
+        EXPECT_LT(n, kMaxAllocations) << "n = " << nodes << ", residency " << residency
+                                      << ", write_queue_depth " << queue;
+        if (queue == 0) queue_off = n;
+        EXPECT_LE(n, queue_off + 8) << "n = " << nodes << ", residency " << residency
+                                    << ": the write queue allocates per eviction";
+      }
     }
   }
 }

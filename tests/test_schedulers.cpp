@@ -157,7 +157,9 @@ TEST(Schedulers, ResidencyAwareKeepsPagedInvariants) {
 }
 
 // Without a disk model the residency rule must be inert: reads cost
-// nothing, so the flag may not change results or stats.
+// nothing, so the flag may not change results or stats. With a disk model
+// it is inert at backfill_depth 1: the window holds one candidate, so
+// there is nothing to choose.
 TEST(Schedulers, ResidencyInertWithoutDisk) {
   util::Rng rng(26031);
   for (int rep = 0; rep < 6; ++rep) {
@@ -177,6 +179,29 @@ TEST(Schedulers, ResidencyInertWithoutDisk) {
       const PagedParallelResult a = simulate_parallel_paged(t, aware);
       const PagedParallelResult b = simulate_parallel_paged(t, plain);
       test::expect_same_paged_replay(a, b, "rep=" + std::to_string(rep));
+    }
+    for (const Priority priority :
+         {Priority::kSequentialOrder, Priority::kCriticalPath, Priority::kHeaviestSubtree}) {
+      for (const EvictionPolicy evict : {EvictionPolicy::kBelady, EvictionPolicy::kLru,
+                                         EvictionPolicy::kLargestFirst, EvictionPolicy::kRandom}) {
+        PagedParallelConfig plain;
+        plain.base.workers = 3;
+        plain.base.memory = parallel::min_feasible_frames(t, 2) * 2;  // tight: reads happen
+        plain.base.priority = priority;
+        plain.base.evict = evict;
+        plain.base.backfill_depth = 1;
+        plain.page_size = 2;
+        plain.disk = iosim::DiskModel{0.5, 2.0};
+        PagedParallelConfig aware = plain;
+        aware.base.residency_aware = true;
+        const PagedParallelResult a = simulate_parallel_paged(t, aware);
+        const PagedParallelResult b = simulate_parallel_paged(t, plain);
+        ASSERT_TRUE(b.base.feasible);
+        test::expect_same_paged_replay(a, b,
+                                       "disk rep=" + std::to_string(rep) +
+                                           " priority=" + std::to_string(static_cast<int>(priority)) +
+                                           " evict=" + std::to_string(static_cast<int>(evict)));
+      }
     }
   }
 }
