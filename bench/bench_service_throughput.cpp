@@ -37,8 +37,12 @@
 //     of the backlog start.
 //   * fusion — fused responses bit-identical to independent computes, and
 //     the OptMinMem K-bound batch >= 1.5x faster than K independents
-//     (the schedule is memory-independent, so fusion shares it; RecExpand
-//     shares only the bottom-up peaks pass and is recorded, not gated).
+//     (the schedule is memory-independent, so fusion shares it). Each row
+//     reports fused_unexpanded: the RecExpand members answered from the
+//     group's one OptMinMem pass. It must equal the number of the row's
+//     RecExpand bounds at or above the tree's OptMinMem peak, exactly, at
+//     every scale (exit 1 otherwise). RecExpand's speedup is recorded, not
+//     gated.
 //
 // Scales: --scale quick (CI smoke) | default (baseline) | paper.
 #include <algorithm>
@@ -51,6 +55,7 @@
 #include <vector>
 
 #include "experiment.hpp"
+#include "src/core/minmem_optimal.hpp"
 #include "src/server/plan_server.hpp"
 #include "src/service/plan_service.hpp"
 #include "src/util/csv.hpp"
@@ -281,6 +286,8 @@ struct FusionRow {
   double fused_seconds = 0.0;
   double speedup = 0.0;
   bool identical = false;
+  std::uint64_t unexpanded = 0;           ///< the fused service's fused_unexpanded
+  std::uint64_t expected_unexpanded = 0;  ///< expanding members with M >= peak
 };
 
 /// K requests over one tree at K memory bounds: plan_fused vs K
@@ -302,6 +309,13 @@ FusionRow run_fusion(core::Strategy strategy, const char* name, std::size_t boun
   row.strategy = name;
   row.batch = bounds;
   const service::ServiceConfig raw{.threads = 1, .cache_capacity = 0, .coalesce = false};
+  if (strategy == core::Strategy::kRecExpand || strategy == core::Strategy::kFullRecExpand) {
+    const core::Tree tree = service::materialize_tree(
+        batch.front(), service::effective_seed(batch.front(), raw.seed));
+    const core::Weight peak = core::opt_minmem(tree).peak;
+    for (const service::PlanRequest& request : batch)
+      if (service::resolve_memory(request, tree) >= peak) ++row.expected_unexpanded;
+  }
 
   service::PlanService independent(raw);
   util::Stopwatch independent_wall;
@@ -314,6 +328,7 @@ FusionRow run_fusion(core::Strategy strategy, const char* name, std::size_t boun
   util::Stopwatch fused_wall;
   const std::vector<service::PlanResponse> fused = fused_service.plan_fused(batch);
   row.fused_seconds = fused_wall.seconds();
+  row.unexpanded = fused_service.stats().fused_unexpanded;
 
   row.identical = fused.size() == truth.size();
   for (std::size_t k = 0; row.identical && k < fused.size(); ++k)
@@ -489,11 +504,15 @@ int main(int argc, char** argv) {
       run_fusion(core::Strategy::kOptMinMem, "optminmem", fusion_bounds, fusion_nodes),
       run_fusion(core::Strategy::kRecExpand, "recexpand", fusion_bounds, fusion_nodes)};
   for (const FusionRow& row : fusion_rows)
-    std::printf("fusion:   %-9s K=%zu  independent %.3fs  fused %.3fs  %.2fx  %s\n", row.strategy,
-                row.batch, row.independent_seconds, row.fused_seconds, row.speedup,
-                row.identical ? "identical" : "MISMATCH");
+    std::printf("fusion:   %-9s K=%zu  independent %.3fs  fused %.3fs  %.2fx  %s  "
+                "unexpanded %llu/%llu\n",
+                row.strategy, row.batch, row.independent_seconds, row.fused_seconds, row.speedup,
+                row.identical ? "identical" : "MISMATCH", (unsigned long long)row.unexpanded,
+                (unsigned long long)row.expected_unexpanded);
   const bool fusion_identical = fusion_rows[0].identical && fusion_rows[1].identical;
-  const bool fusion_pass = fusion_identical && fusion_rows[0].speedup >= 1.5;
+  const bool fusion_counted = fusion_rows[0].unexpanded == fusion_rows[0].expected_unexpanded &&
+                              fusion_rows[1].unexpanded == fusion_rows[1].expected_unexpanded;
+  const bool fusion_pass = fusion_identical && fusion_counted && fusion_rows[0].speedup >= 1.5;
 
   {
     util::CsvWriter server_csv("bench_service_server.csv",
@@ -585,9 +604,11 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "      {\"strategy\": \"%s\", \"batch\": %zu, \"nodes\": %zu, "
                  "\"independent_seconds\": %.4f, \"fused_seconds\": %.4f, \"speedup\": %.3f, "
-                 "\"identical\": %s}%s\n",
+                 "\"identical\": %s, \"fused_unexpanded\": %llu, "
+                 "\"expected_unexpanded\": %llu}%s\n",
                  row.strategy, row.batch, fusion_nodes, row.independent_seconds, row.fused_seconds,
-                 row.speedup, row.identical ? "true" : "false",
+                 row.speedup, row.identical ? "true" : "false", (unsigned long long)row.unexpanded,
+                 (unsigned long long)row.expected_unexpanded,
                  k + 1 < std::size(fusion_rows) ? "," : "");
   }
   std::fprintf(json, "    ]\n  },\n");
@@ -602,15 +623,16 @@ int main(int argc, char** argv) {
                "    \"overload\": {\"queue_bounded\": %s, \"conserved\": %s, \"shed\": %llu, "
                "\"pass\": %s},\n"
                "    \"fairness\": {\"floor_violations\": %llu, \"pass\": %s},\n"
-               "    \"fusion\": {\"identical\": %s, \"optminmem_speedup\": %.3f, "
-               "\"threshold\": 1.5, \"recexpand_speedup\": %.3f, \"pass\": %s}\n  }\n}\n",
+               "    \"fusion\": {\"identical\": %s, \"unexpanded_exact\": %s, "
+               "\"optminmem_speedup\": %.3f, \"threshold\": 1.5, \"recexpand_speedup\": %.3f, "
+               "\"pass\": %s}\n  }\n}\n",
                speedup, cores, threshold, throughput_pass ? "true" : "false", latency_reduction,
                latency_pass ? "true" : "false", differential_ok ? "true" : "false",
                overload.bounded ? "true" : "false", overload.conserved ? "true" : "false",
                (unsigned long long)overload.shed, overload.pass ? "true" : "false",
                (unsigned long long)fairness.floor_violations, fairness.pass ? "true" : "false",
-               fusion_identical ? "true" : "false", fusion_rows[0].speedup,
-               fusion_rows[1].speedup, fusion_pass ? "true" : "false");
+               fusion_identical ? "true" : "false", fusion_counted ? "true" : "false",
+               fusion_rows[0].speedup, fusion_rows[1].speedup, fusion_pass ? "true" : "false");
   std::fclose(json);
 
   std::printf("\nacceptance:\n");
@@ -625,14 +647,16 @@ int main(int argc, char** argv) {
               overload.pass ? "PASS" : "FAIL");
   std::printf("  fairness:          %llu quota-floor violations — %s\n",
               (unsigned long long)fairness.floor_violations, fairness.pass ? "PASS" : "FAIL");
-  std::printf("  fusion:            identical %s, optminmem %.2fx (threshold 1.5x), "
-              "recexpand %.2fx — %s\n",
-              fusion_identical ? "yes" : "NO", fusion_rows[0].speedup, fusion_rows[1].speedup,
-              fusion_pass ? "PASS" : "FAIL");
+  std::printf("  fusion:            identical %s, recexpand unexpanded %llu of %llu expected, "
+              "optminmem %.2fx (threshold 1.5x), recexpand %.2fx — %s\n",
+              fusion_identical ? "yes" : "NO", (unsigned long long)fusion_rows[1].unexpanded,
+              (unsigned long long)fusion_rows[1].expected_unexpanded, fusion_rows[0].speedup,
+              fusion_rows[1].speedup, fusion_pass ? "PASS" : "FAIL");
   std::printf("results written to bench_service_throughput.csv, bench_service_server.csv "
               "and bench_service_throughput.json\n");
   std::printf("(to refresh the committed baseline: cp bench_service_throughput.json "
               "<repo>/BENCH_service.json)\n");
-  const bool hard_gates = differential_ok && overload.pass && fairness.pass && fusion_identical;
+  const bool hard_gates =
+      differential_ok && overload.pass && fairness.pass && fusion_identical && fusion_counted;
   return hard_gates ? 0 : 1;
 }

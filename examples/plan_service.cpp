@@ -200,6 +200,7 @@ std::string service_stats_json(const service::ServiceStats& stats) {
   out += ",\"cached\":" + std::to_string(stats.cached);
   out += ",\"coalesced\":" + std::to_string(stats.coalesced);
   out += ",\"fused\":" + std::to_string(stats.fused);
+  out += ",\"fused_unexpanded\":" + std::to_string(stats.fused_unexpanded);
   out += ",\"failed\":" + std::to_string(stats.failed);
   out += ",\"cache_hits\":" + std::to_string(stats.cache.hits);
   out += ",\"cache_misses\":" + std::to_string(stats.cache.misses);

@@ -73,6 +73,8 @@ struct RecExpandResult {
 ///     engine's cached sequences stay valid in the copy. Without an
 ///     expansion (M at or above the OptMinMem peak) the result is
 ///     OptMinMem's schedule, returned without a copy or map_schedule.
+///     A fused service group answers such bounds from its one shared
+///     opt_minmem pass (PlanService::SharedPlanState).
 ///   * The per-iteration FiF works on the expanded tree's ids and touches
 ///     only the nodes of the subtree's schedule. Siblings tie-break by
 ///     their slot in the parent's child span — the reference's postorder

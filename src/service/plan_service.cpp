@@ -59,30 +59,64 @@ const char* replay_config_error(const PlanRequest& request) {
 
 }  // namespace
 
-/// Per-tree shared planning state of one fused group. Only the OptMinMem
-/// schedule is shared: it is a pure function of the tree alone (M does
-/// not enter), so kOptMinMem hands out copies of the one optimal schedule
-/// core::run_strategy would recompute, and every other strategy *is*
-/// core::run_strategy. run() is therefore bit-identical to it by
-/// construction. RecExpand needs no shared pass: it reads subtree peaks
-/// from its own incremental engine.
+/// Per-tree shared planning state of one fused group: the tree's
+/// OptMinMem pass (schedule and peak) and the FiF of that schedule at the
+/// peak, computed once, when the first member needs them. Both are pure
+/// functions of the tree alone, so:
+///   * kOptMinMem hands out copies of the one optimal schedule
+///     core::run_strategy would recompute;
+///   * a kRecExpand / kFullRecExpand member whose bound is at or above the
+///     peak gets the same copy: RecExpand expands nothing there and
+///     returns OptMinMem's schedule, with the FiF of that schedule as its
+///     evaluation (RecExpand.NoExpansionReturnsOptMinMemSchedule);
+///   * at or above the peak, memory never binds on that schedule, so FiF
+///     evicts nothing and its result is the same for every such bound;
+///     below it, the member's own bound is simulated;
+///   * every other member *is* core::run_strategy.
+/// run() is therefore bit-identical to core::run_strategy by construction.
 class PlanService::SharedPlanState {
  public:
   explicit SharedPlanState(const core::Tree& tree) : tree_(tree) {}
 
+  /// True when run(s, memory) answers an expanding strategy from the
+  /// shared pass instead of running it.
+  [[nodiscard]] bool unexpanded(core::Strategy s, core::Weight memory) {
+    return (s == core::Strategy::kRecExpand || s == core::Strategy::kFullRecExpand) &&
+           memory >= pass().optminmem.peak;
+  }
+
   [[nodiscard]] core::StrategyOutcome run(core::Strategy s, core::Weight memory) {
-    if (s != core::Strategy::kOptMinMem) return core::run_strategy(s, tree_, memory);
-    if (!optminmem_.has_value()) optminmem_ = core::opt_minmem(tree_).schedule;
+    if (s != core::Strategy::kOptMinMem && !unexpanded(s, memory))
+      return core::run_strategy(s, tree_, memory);
+    const Pass& shared = pass();
     core::StrategyOutcome out;
     out.strategy = s;
-    out.schedule = *optminmem_;
-    out.evaluation = core::simulate_fif(tree_, out.schedule, memory);
+    out.schedule = shared.optminmem.schedule;
+    out.evaluation = memory >= shared.optminmem.peak
+                         ? shared.fif_at_peak
+                         : core::simulate_fif(tree_, out.schedule, memory);
     return out;
   }
 
  private:
+  struct Pass {
+    core::OptMinMemResult optminmem;
+    core::FifResult fif_at_peak;
+  };
+
+  const Pass& pass() {
+    if (!planned_) {
+      pass_.optminmem = core::opt_minmem(tree_);
+      pass_.fif_at_peak =
+          core::simulate_fif(tree_, pass_.optminmem.schedule, pass_.optminmem.peak);
+      planned_ = true;
+    }
+    return pass_;
+  }
+
   const core::Tree& tree_;
-  std::optional<core::Schedule> optminmem_;
+  Pass pass_;
+  bool planned_ = false;
 };
 
 PlanService::PlanService(ServiceConfig config)
@@ -112,17 +146,19 @@ PlanResponse PlanService::plan(const PlanRequest& request) {
 std::vector<PlanResponse> PlanService::plan_fused(const std::vector<PlanRequest>& requests) {
   std::vector<PlanResponse> responses(requests.size());
   std::vector<std::uint64_t> seeds(requests.size());
+  std::vector<std::uint64_t> identities(requests.size());
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     seeds[i] = effective_seed(requests[i], config_.seed);
-    groups[tree_identity(requests[i], seeds[i])].push_back(i);
+    identities[i] = tree_identity(requests[i], seeds[i]);
+    groups[identities[i]].push_back(i);
   }
   // Process groups in first-member order so the batch is served
   // deterministically regardless of hash-map iteration order.
   std::vector<bool> handled(requests.size(), false);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (handled[i]) continue;
-    const std::vector<std::size_t>& members = groups[tree_identity(requests[i], seeds[i])];
+    const std::vector<std::size_t>& members = groups[identities[i]];
     for (const std::size_t m : members) handled[m] = true;
     if (members.size() == 1) {
       responses[i] = plan(requests[i]);  // singleton: ordinary serve() path
@@ -141,8 +177,13 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
   const util::Stopwatch watch;
 
   // Static validation and the spec-fingerprint cache probe per member,
-  // mirroring serve(); survivors proceed to the shared materialization.
-  std::vector<std::size_t> pending;
+  // mirroring serve(); survivors proceed to the shared materialization
+  // with the fingerprint they were probed under.
+  struct Pending {
+    std::size_t index;
+    std::optional<std::uint64_t> fingerprint;
+  };
+  std::vector<Pending> pending;
   pending.reserve(members.size());
   for (const std::size_t i : members) {
     const PlanRequest& request = requests[i];
@@ -155,7 +196,7 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
           (hit = cache_.get(CacheKey{*fingerprint, kFingerprintTag})) != nullptr)
         responses[i] = respond(request, std::move(hit), Served::kCached, watch.seconds());
       else
-        pending.push_back(i);
+        pending.push_back({i, fingerprint});
     }
   }
   if (pending.empty()) return;
@@ -164,21 +205,22 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
   // so they materialize bit-identical trees by construction.
   std::optional<core::Tree> tree;
   try {
-    tree.emplace(materialize(requests[pending.front()], seeds[pending.front()]));
+    const std::size_t first = pending.front().index;
+    tree.emplace(materialize(requests[first], seeds[first]));
   } catch (const std::exception& e) {
-    for (const std::size_t i : pending)
-      responses[i] = respond(requests[i], error_stats(e.what()), Served::kFused, watch.seconds());
+    for (const Pending& p : pending)
+      responses[p.index] =
+          respond(requests[p.index], error_stats(e.what()), Served::kFused, watch.seconds());
     return;
   }
 
   SharedPlanState shared(*tree);
   const std::uint64_t tree_hash = tree->canonical_hash();
-  for (const std::size_t i : pending) {
+  for (const auto& [i, fingerprint] : pending) {
     const PlanRequest& request = requests[i];
     try {
       const core::Weight memory = resolve_memory(request, *tree);
       const CacheKey key{tree_hash, params_fingerprint(request, memory, seeds[i])};
-      const std::optional<std::uint64_t> fingerprint = request_fingerprint(request, seeds[i]);
       const CacheKey spec_key{fingerprint.value_or(0), kFingerprintTag};
       // The canonical probe also dedups *within* the group: an earlier
       // member with the same (memory, strategy, replay) put its result
@@ -188,6 +230,7 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
         responses[i] = respond(request, std::move(hit), Served::kCached, watch.seconds());
         continue;
       }
+      const bool unexpanded = shared.unexpanded(request.strategy, memory);
       std::shared_ptr<const PlanStats> stats =
           finish_stats(request, *tree, tree_hash, memory, seeds[i],
                        shared.run(request.strategy, memory));
@@ -196,6 +239,9 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
       }
       responses[i] = respond(request, std::move(stats), Served::kFused, watch.seconds());
+      // After respond() bumped fused_, so fused_unexpanded_ <= fused_
+      // holds at every instant audit() can observe.
+      if (unexpanded) fused_unexpanded_.fetch_add(1);
     } catch (const std::exception& e) {
       responses[i] = respond(request, error_stats(e.what()), Served::kFused, watch.seconds());
     }
@@ -396,19 +442,23 @@ std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& re
 
 void PlanService::audit(bool quiescent) const {
   // Counter relations that hold at every instant of serve(): the served
-  // counters (computed/cached/coalesced) are bumped before completed_, and
-  // nothing is served that was not submitted. Loads are monotone, so a
-  // concurrent serve can only widen the inequalities, never break them —
-  // read completed_ first and submitted_ last to keep the comparison safe.
+  // counters (computed/cached/coalesced/fused) are bumped before completed_,
+  // fused_unexpanded_ after fused_, and nothing is served that was not
+  // submitted. Loads are monotone, so a concurrent serve can only widen the
+  // inequalities, never break them — read completed_ first, each counter
+  // before the one that bounds it, and submitted_ last.
   const std::uint64_t completed = completed_.load();
   const std::uint64_t failed = failed_.load();
-  const std::uint64_t served =
-      computed_.load() + cached_.load() + coalesced_.load() + fused_.load();
+  const std::uint64_t fused_unexpanded = fused_unexpanded_.load();
+  const std::uint64_t fused = fused_.load();
+  const std::uint64_t served = computed_.load() + cached_.load() + coalesced_.load() + fused;
   const std::uint64_t submitted = submitted_.load();
   core::audit_check(completed <= served,
                     "PlanService: completed responses outnumber served ones");
   core::audit_check(served <= submitted, "PlanService: served responses outnumber submissions");
   core::audit_check(failed <= served, "PlanService: failed responses outnumber served ones");
+  core::audit_check(fused_unexpanded <= fused,
+                    "PlanService: unexpanded fused answers outnumber fused ones");
   {
     const std::lock_guard lock(inflight_mutex_);
     if (quiescent)
@@ -429,6 +479,7 @@ ServiceStats PlanService::stats() const {
   out.cached = cached_.load();
   out.coalesced = coalesced_.load();
   out.fused = fused_.load();
+  out.fused_unexpanded = fused_unexpanded_.load();
   out.failed = failed_.load();
   out.cache = cache_.counters();
   const SourceCounters sources = sources_.counters();

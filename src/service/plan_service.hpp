@@ -68,6 +68,9 @@ struct ServiceStats {
   std::uint64_t cached = 0;     ///< served from the result cache
   std::uint64_t coalesced = 0;  ///< attached to an in-flight computation
   std::uint64_t fused = 0;      ///< computed inside a fused same-tree batch
+  /// Fused RecExpand / FullRecExpand members whose bound is at or above the
+  /// tree's OptMinMem peak, answered from the group's one OptMinMem pass.
+  std::uint64_t fused_unexpanded = 0;
   std::uint64_t failed = 0;     ///< ok=false responses
   CacheCounters cache;
   std::uint64_t source_hits = 0;    ///< text path requests rebuilt from a cached shape
@@ -97,10 +100,13 @@ class PlanService {
   [[nodiscard]] PlanResponse plan(const PlanRequest& request);
 
   /// Serves a batch synchronously with *fusion*: requests that materialize
-  /// the same tree (equal tree_identity) share one materialization, and
-  /// OptMinMem members share the one optimal schedule (it does not depend
-  /// on M) — instead of K independent full computes. Everything shared is
-  /// a pure function of the tree alone, so fused responses are
+  /// the same tree (equal tree_identity) share one materialization and one
+  /// OptMinMem pass (it does not depend on M) — instead of K independent
+  /// full computes. OptMinMem members, and RecExpand / FullRecExpand
+  /// members whose bound is at or above its peak (where RecExpand expands
+  /// nothing), take its schedule; every member at or above the peak also
+  /// shares one FiF of it, since memory never binds there. Everything
+  /// shared is a pure function of the tree alone, so fused responses are
   /// bit-identical to independent plan() calls (pinned by
   /// tests/test_server.cpp and the fusion rows of
   /// bench_service_throughput). Fused members respond Served::kFused; the
@@ -118,8 +124,9 @@ class PlanService {
   /// the result cache, throwing core::AuditError on drift. Safe to call
   /// while requests are in flight: it only asserts the monotone relations
   /// that hold mid-serve (completed <= computed + cached + coalesced +
-  /// fused <= submitted, every pending in-flight future valid) plus the
-  /// full ResultCache::audit() and SourceCache::audit(). At quiescence (every future resolved) the
+  /// fused <= submitted, fused_unexpanded <= fused, every pending
+  /// in-flight future valid) plus the full ResultCache::audit() and
+  /// SourceCache::audit(). At quiescence (every future resolved) the
   /// in-flight table must be empty — pass `quiescent = true` to assert
   /// that and the exact completed == served-class balance.
   void audit(bool quiescent = false) const;
@@ -168,6 +175,7 @@ class PlanService {
   std::atomic<std::uint64_t> cached_{0};
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> fused_{0};
+  std::atomic<std::uint64_t> fused_unexpanded_{0};
   std::atomic<std::uint64_t> failed_{0};
 
   /// Declared last on purpose: the pool is destroyed first, draining every

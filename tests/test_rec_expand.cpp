@@ -1,11 +1,18 @@
 // Tests for the RecExpand / FullRecExpand heuristics (Section 5).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/core/brute_force.hpp"
+#include "src/core/fif_simulator.hpp"
 #include "src/core/lower_bounds.hpp"
 #include "src/core/minmem_optimal.hpp"
 #include "src/core/rec_expand.hpp"
 #include "src/treegen/paper_trees.hpp"
+#include "src/treegen/random_binary.hpp"
+#include "src/treegen/shapes.hpp"
+#include "src/treegen/weights.hpp"
 #include "test_support.hpp"
 
 namespace ooctree {
@@ -31,9 +38,43 @@ TEST(RecExpand, NoExpansionWhenMemoryIsAmple) {
 
 // At or above the OptMinMem peak nothing is expanded, and both variants
 // return OptMinMem's own schedule unchanged: the path that never makes an
-// expanded copy. Covers binary and high fan-in trees, equal weights (ties
-// everywhere) and both memory models.
+// expanded copy. Its evaluation is the FiF of that schedule, field for
+// field, and that FiF is the same at every such bound; together they let a
+// fused service group answer these bounds from one shared OptMinMem pass.
+// Covers binary and high fan-in random trees, SYNTH trees at service
+// sizes, a caterpillar and a spider, equal weights (ties everywhere) and
+// both memory models.
 TEST(RecExpand, NoExpansionReturnsOptMinMemSchedule) {
+  const auto expect_same_fif = [](const core::FifResult& a, const core::FifResult& b) {
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.io, b.io);
+    EXPECT_EQ(a.io_volume, b.io_volume);
+    EXPECT_EQ(a.peak_resident, b.peak_resident);
+    EXPECT_EQ(a.evictions, b.evictions);
+  };
+  const auto check = [&](const Tree& t, const std::string& label) {
+    const core::OptMinMemResult opt = core::opt_minmem(t);
+    const core::FifResult at_peak = core::simulate_fif(t, opt.schedule, opt.peak);
+    for (const Weight m : {opt.peak, opt.peak + 1, 2 * opt.peak}) {
+      SCOPED_TRACE(label + " M=" + std::to_string(m));
+      // Memory never binds on the OptMinMem schedule at or above its peak,
+      // so its FiF is the same for every such bound.
+      const core::FifResult fif = core::simulate_fif(t, opt.schedule, m);
+      expect_same_fif(fif, at_peak);
+      for (const bool full : {false, true}) {
+        SCOPED_TRACE(full ? "FullRecExpand" : "RecExpand");
+        const RecExpandResult r = full ? full_rec_expand(t, m) : rec_expand2(t, m);
+        EXPECT_EQ(r.expansions, 0u);
+        EXPECT_EQ(r.expansion_volume, 0);
+        EXPECT_EQ(r.schedule, opt.schedule);
+        EXPECT_EQ(r.final_peak, opt.peak);
+        EXPECT_EQ(r.evaluation.io_volume, 0);
+        EXPECT_TRUE(r.evaluation.feasible);
+        expect_same_fif(r.evaluation, fif);
+      }
+    }
+  };
+
   util::Rng rng(509);
   for (int rep = 0; rep < 24; ++rep) {
     const std::size_t n = rep < 12 ? 30 : 400;
@@ -41,18 +82,19 @@ TEST(RecExpand, NoExpansionReturnsOptMinMemSchedule) {
                             : test::small_random_wide_tree(n, 50, rng);
     if (rep % 3 == 0) t = treegen::with_constant_weights(t, 1);
     if (rep % 4 >= 2) t = t.with_memory_model(core::MemoryModel::kSumInOut);
-    const core::OptMinMemResult opt = core::opt_minmem(t);
-    for (const Weight m : {opt.peak, opt.peak + 1, 2 * opt.peak}) {
-      for (const bool full : {false, true}) {
-        const RecExpandResult r = full ? full_rec_expand(t, m) : rec_expand2(t, m);
-        EXPECT_EQ(r.expansions, 0u) << "rep=" << rep << " M=" << m << " full=" << full;
-        EXPECT_EQ(r.expansion_volume, 0);
-        EXPECT_EQ(r.schedule, opt.schedule) << "rep=" << rep << " M=" << m << " full=" << full;
-        EXPECT_EQ(r.final_peak, opt.peak);
-        EXPECT_EQ(r.evaluation.io_volume, 0);
-      }
-    }
+    check(t, "rep=" + std::to_string(rep));
   }
+
+  const std::pair<const char*, Tree> shapes[] = {
+      {"synth2000", treegen::synth_instance(2000, 1, 100, rng)},
+      {"synth4000", treegen::synth_instance(4000, 1, 100, rng)},
+      {"caterpillar",
+       treegen::with_uniform_weights(treegen::caterpillar_tree(500, 3, 1), 1, 100, rng)},
+      {"spider", treegen::with_uniform_weights(treegen::spider_tree(12, 160, 1), 1, 100, rng)}};
+  for (const auto& [name, shape] : shapes)
+    for (const auto model : {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut})
+      check(shape.with_memory_model(model),
+            std::string(name) + (model == core::MemoryModel::kSumInOut ? " sum" : " max"));
 }
 
 TEST(RecExpand, ProducesValidTraversals) {

@@ -380,6 +380,104 @@ TEST(PlanFused, BitIdenticalToIndependentPlansAcrossStrategiesAndModels) {
   EXPECT_NO_THROW(fused_service.audit(/*quiescent=*/true));
 }
 
+TEST(PlanFused, UnexpandedRecExpandMembersMatchIndependentPlansInEitherOrder) {
+  // A fused group answers RecExpand / FullRecExpand members whose bound is
+  // at or above the tree's OptMinMem peak from its one OptMinMem pass.
+  // Bounds straddle the peak (peak - 1, peak, peak + 1) and sweep the
+  // tenant-repeat multiples of LB; the batch runs binding members first and
+  // then non-binding members first. Every answer must equal an independent
+  // cache-less plan(), and fused_unexpanded must count exactly the
+  // expanding members at or above the peak.
+  const core::Strategy strategies[] = {core::Strategy::kRecExpand,
+                                       core::Strategy::kFullRecExpand,
+                                       core::Strategy::kOptMinMem};
+  const double multiples[] = {1.0, 1.1, 1.25, 1.5, 2.0, 3.0};
+  const ServiceConfig raw{.threads = 1, .cache_capacity = 0, .coalesce = false};
+
+  struct Member {
+    PlanRequest request;
+    core::Weight memory = 0;
+    bool unexpanded = false;
+  };
+  std::vector<Member> members;
+  std::int64_t id = 0;
+  for (const auto model : {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut}) {
+    PlanRequest base = synth_request(0, /*seed=*/91, /*nodes=*/600);
+    base.model = model;
+    const core::Tree tree =
+        service::materialize_tree(base, service::effective_seed(base, raw.seed));
+    const core::Weight peak = core::opt_minmem(tree).peak;
+    ASSERT_GT(peak, tree.min_feasible_memory()) << "peak - 1 must be a feasible bound";
+
+    std::vector<PlanRequest> requests;
+    for (const auto strategy : strategies) {
+      for (const core::Weight memory : {peak - 1, peak, peak + 1}) {
+        PlanRequest request = base;
+        request.strategy = strategy;
+        request.memory = memory;
+        requests.push_back(request);
+      }
+      for (const double lb : multiples) {
+        PlanRequest request = base;
+        request.strategy = strategy;
+        request.memory_lb = lb;
+        requests.push_back(request);
+      }
+    }
+    PlanRequest paged = base;  // a non-binding member with a paged replay
+    paged.strategy = core::Strategy::kRecExpand;
+    paged.memory = peak + 1;
+    parallel::ParallelConfig pc;
+    pc.workers = 4;
+    paged.parallel = pc;
+    paged.page_size = 4;
+    requests.push_back(paged);
+
+    for (PlanRequest& request : requests) {
+      request.id = ++id;
+      const core::Weight memory = service::resolve_memory(request, tree);
+      const bool expanding = request.strategy != core::Strategy::kOptMinMem;
+      members.push_back({request, memory, expanding && memory >= peak});
+    }
+  }
+  const auto expected = static_cast<std::uint64_t>(
+      std::count_if(members.begin(), members.end(), [](const Member& m) { return m.unexpanded; }));
+  const auto expanding = static_cast<std::uint64_t>(
+      std::count_if(members.begin(), members.end(), [](const Member& m) {
+        return m.request.strategy != core::Strategy::kOptMinMem;
+      }));
+  ASSERT_GT(expected, 0u);
+  ASSERT_LT(expected, expanding) << "some expanding member must bind";
+
+  PlanService independent(raw);
+  for (const bool binding_first : {true, false}) {
+    std::stable_sort(members.begin(), members.end(), [&](const Member& a, const Member& b) {
+      return binding_first ? a.memory < b.memory : a.memory > b.memory;
+    });
+    std::vector<PlanRequest> batch;
+    for (const Member& m : members) batch.push_back(m.request);
+
+    PlanService fused_service(raw);
+    const std::vector<PlanResponse> fused = fused_service.plan_fused(batch);
+    ASSERT_EQ(fused.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE("binding_first=" + std::to_string(binding_first) + " strategy " +
+                   core::strategy_name(batch[i].strategy) + " M=" +
+                   std::to_string(members[i].memory));
+      ASSERT_TRUE(fused[i].stats->ok) << fused[i].stats->error;
+      EXPECT_EQ(fused[i].served, Served::kFused);
+      EXPECT_EQ(fused[i].id, batch[i].id);
+      const PlanResponse reference = independent.plan(batch[i]);
+      ASSERT_TRUE(reference.stats->ok) << reference.stats->error;
+      EXPECT_TRUE(service::identical(*fused[i].stats, *reference.stats));
+    }
+    EXPECT_EQ(fused_service.stats().fused, batch.size());
+    EXPECT_EQ(fused_service.stats().fused_unexpanded, expected);
+    EXPECT_NO_THROW(fused_service.audit(/*quiescent=*/true));
+  }
+  EXPECT_EQ(independent.stats().fused_unexpanded, 0u);
+}
+
 TEST(PlanFused, SingletonGroupsTakeTheOrdinaryServePath) {
   PlanService planner(ServiceConfig{.threads = 1});
   // Different explicit seeds: different trees, no group to fuse.
