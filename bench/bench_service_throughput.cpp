@@ -43,6 +43,13 @@
 //     RecExpand bounds at or above the tree's OptMinMem peak, exactly, at
 //     every scale (exit 1 otherwise). RecExpand's speedup is recorded, not
 //     gated.
+//   * repeat — the OptMinMem fusion batch runs again on a cache-enabled
+//     service, then a second batch over the same tree at K new absolute
+//     bounds at or above the tree's OptMinMem peak (so the result cache
+//     misses). The first batch stores the tree's OptMinMem pass; every
+//     member of the second must be answered from it (pass_answers == K
+//     exactly) and equal an independent compute, at every scale (exit 1
+//     otherwise). Its speedup over the first batch is recorded, not gated.
 //
 // Scales: --scale quick (CI smoke) | default (baseline) | paper.
 #include <algorithm>
@@ -338,6 +345,68 @@ FusionRow run_fusion(core::Strategy strategy, const char* name, std::size_t boun
   return row;
 }
 
+struct RepeatRow {
+  std::size_t batch = 0;
+  double first_seconds = 0.0;   ///< the OptMinMem batch that stores the pass
+  double repeat_seconds = 0.0;  ///< the batch answered from the stored pass
+  double speedup = 0.0;
+  bool identical = false;
+  std::uint64_t pass_answers = 0;  ///< the service's pass_answers after both
+};
+
+/// The OptMinMem fusion batch on a cache-enabled service, then `bounds`
+/// requests over the same tree at absolute bounds from the OptMinMem peak
+/// up that the first batch did not resolve to, fused as a second batch.
+RepeatRow run_repeat(std::size_t bounds, std::size_t nodes) {
+  std::vector<service::PlanRequest> first;
+  for (std::size_t k = 0; k < bounds; ++k) {
+    service::PlanRequest request;
+    request.id = static_cast<std::int64_t>(k) + 1;
+    request.nodes = nodes;
+    request.seed = 940001;  // the fusion rows' tree
+    request.memory_lb = 1.05 + 0.1 * static_cast<double>(k);
+    request.strategy = core::Strategy::kOptMinMem;
+    first.push_back(request);
+  }
+  const service::ServiceConfig raw{.threads = 1, .cache_capacity = 0, .coalesce = false};
+  const core::Tree tree = service::materialize_tree(
+      first.front(), service::effective_seed(first.front(), raw.seed));
+  std::vector<core::Weight> taken;
+  for (const service::PlanRequest& request : first)
+    taken.push_back(service::resolve_memory(request, tree));
+  std::vector<service::PlanRequest> repeat;
+  for (core::Weight memory = core::opt_minmem(tree).peak + 1; repeat.size() < bounds; ++memory) {
+    if (std::find(taken.begin(), taken.end(), memory) != taken.end()) continue;
+    service::PlanRequest request = first.front();
+    request.id = static_cast<std::int64_t>(bounds + repeat.size()) + 1;
+    request.memory = memory;
+    repeat.push_back(request);
+  }
+
+  RepeatRow row;
+  row.batch = bounds;
+  service::PlanService cached_service(service::ServiceConfig{.threads = 1});
+  util::Stopwatch first_wall;
+  const std::vector<service::PlanResponse> stored = cached_service.plan_fused(first);
+  row.first_seconds = first_wall.seconds();
+  util::Stopwatch repeat_wall;
+  const std::vector<service::PlanResponse> answers = cached_service.plan_fused(repeat);
+  row.repeat_seconds = repeat_wall.seconds();
+  row.pass_answers = cached_service.stats().pass_answers;
+  row.speedup = row.repeat_seconds > 0 ? row.first_seconds / row.repeat_seconds : 0.0;
+
+  service::PlanService independent(raw);
+  row.identical = answers.size() == repeat.size();
+  for (std::size_t k = 0; row.identical && k < answers.size(); ++k) {
+    const service::PlanResponse truth = independent.plan(repeat[k]);
+    row.identical = answers[k].stats->ok && truth.stats->ok &&
+                    service::identical(*answers[k].stats, *truth.stats);
+  }
+  for (const service::PlanResponse& response : stored)
+    row.identical = row.identical && response.stats->ok;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -514,6 +583,14 @@ int main(int argc, char** argv) {
                               fusion_rows[1].unexpanded == fusion_rows[1].expected_unexpanded;
   const bool fusion_pass = fusion_identical && fusion_counted && fusion_rows[0].speedup >= 1.5;
 
+  const RepeatRow repeat = run_repeat(fusion_bounds, fusion_nodes);
+  const bool repeat_pass = repeat.identical && repeat.pass_answers == repeat.batch;
+  std::printf("repeat:   optminmem K=%zu  first %.4fs  repeat %.4fs  %.2fx  %s  "
+              "pass answers %llu/%zu\n",
+              repeat.batch, repeat.first_seconds, repeat.repeat_seconds, repeat.speedup,
+              repeat.identical ? "identical" : "MISMATCH", (unsigned long long)repeat.pass_answers,
+              repeat.batch);
+
   {
     util::CsvWriter server_csv("bench_service_server.csv",
                                {"section", "label", "requests", "admitted", "shed", "queue_peak",
@@ -533,6 +610,10 @@ int main(int argc, char** argv) {
                       static_cast<std::int64_t>(row.batch), std::int64_t{0}, std::int64_t{0}, 0.0,
                       0.0, row.fused_seconds, row.speedup,
                       static_cast<std::int64_t>(row.identical ? 1 : 0)});
+    server_csv.row({"repeat", "optminmem", static_cast<std::int64_t>(repeat.batch),
+                    static_cast<std::int64_t>(repeat.batch), std::int64_t{0}, std::int64_t{0}, 0.0,
+                    0.0, repeat.repeat_seconds, repeat.speedup,
+                    static_cast<std::int64_t>(repeat_pass ? 1 : 0)});
   }
 
   // Acceptance numbers.
@@ -611,7 +692,15 @@ int main(int argc, char** argv) {
                  (unsigned long long)row.expected_unexpanded,
                  k + 1 < std::size(fusion_rows) ? "," : "");
   }
-  std::fprintf(json, "    ]\n  },\n");
+  std::fprintf(json, "    ],\n");
+  std::fprintf(json,
+               "    \"repeat\": {\"strategy\": \"optminmem\", \"batch\": %zu, \"nodes\": %zu, "
+               "\"first_seconds\": %.4f, \"repeat_seconds\": %.4f, \"speedup\": %.3f, "
+               "\"identical\": %s, \"pass_answers\": %llu, \"expected_pass_answers\": %zu}\n",
+               repeat.batch, fusion_nodes, repeat.first_seconds, repeat.repeat_seconds,
+               repeat.speedup, repeat.identical ? "true" : "false",
+               (unsigned long long)repeat.pass_answers, repeat.batch);
+  std::fprintf(json, "  },\n");
   std::fprintf(json,
                "  \"acceptance\": {\n"
                "    \"throughput\": {\"mix\": \"0%%-hit\", \"speedup_8v1\": %.3f, "
@@ -625,14 +714,19 @@ int main(int argc, char** argv) {
                "    \"fairness\": {\"floor_violations\": %llu, \"pass\": %s},\n"
                "    \"fusion\": {\"identical\": %s, \"unexpanded_exact\": %s, "
                "\"optminmem_speedup\": %.3f, \"threshold\": 1.5, \"recexpand_speedup\": %.3f, "
-               "\"pass\": %s}\n  }\n}\n",
+               "\"pass\": %s},\n"
+               "    \"repeat\": {\"identical\": %s, \"pass_answers_exact\": %s, "
+               "\"speedup\": %.3f, \"pass\": %s}\n  }\n}\n",
                speedup, cores, threshold, throughput_pass ? "true" : "false", latency_reduction,
                latency_pass ? "true" : "false", differential_ok ? "true" : "false",
                overload.bounded ? "true" : "false", overload.conserved ? "true" : "false",
                (unsigned long long)overload.shed, overload.pass ? "true" : "false",
                (unsigned long long)fairness.floor_violations, fairness.pass ? "true" : "false",
                fusion_identical ? "true" : "false", fusion_counted ? "true" : "false",
-               fusion_rows[0].speedup, fusion_rows[1].speedup, fusion_pass ? "true" : "false");
+               fusion_rows[0].speedup, fusion_rows[1].speedup, fusion_pass ? "true" : "false",
+               repeat.identical ? "true" : "false",
+               repeat.pass_answers == repeat.batch ? "true" : "false", repeat.speedup,
+               repeat_pass ? "true" : "false");
   std::fclose(json);
 
   std::printf("\nacceptance:\n");
@@ -652,11 +746,15 @@ int main(int argc, char** argv) {
               fusion_identical ? "yes" : "NO", (unsigned long long)fusion_rows[1].unexpanded,
               (unsigned long long)fusion_rows[1].expected_unexpanded, fusion_rows[0].speedup,
               fusion_rows[1].speedup, fusion_pass ? "PASS" : "FAIL");
+  std::printf("  repeat:            identical %s, %llu of %zu answered from the stored pass, "
+              "%.2fx over the first batch — %s\n",
+              repeat.identical ? "yes" : "NO", (unsigned long long)repeat.pass_answers,
+              repeat.batch, repeat.speedup, repeat_pass ? "PASS" : "FAIL");
   std::printf("results written to bench_service_throughput.csv, bench_service_server.csv "
               "and bench_service_throughput.json\n");
   std::printf("(to refresh the committed baseline: cp bench_service_throughput.json "
               "<repo>/BENCH_service.json)\n");
-  const bool hard_gates =
-      differential_ok && overload.pass && fairness.pass && fusion_identical && fusion_counted;
+  const bool hard_gates = differential_ok && overload.pass && fairness.pass && fusion_identical &&
+                          fusion_counted && repeat_pass;
   return hard_gates ? 0 : 1;
 }

@@ -207,6 +207,9 @@ std::string service_stats_json(const service::ServiceStats& stats) {
   out += ",\"source_hits\":" + std::to_string(stats.source_hits);
   out += ",\"source_misses\":" + std::to_string(stats.source_misses);
   out += ",\"source_bytes\":" + std::to_string(stats.source_bytes);
+  out += ",\"pass_answers\":" + std::to_string(stats.pass_answers);
+  out += ",\"pass_bytes\":" + std::to_string(stats.pass_bytes);
+  out += ",\"pass_entries\":" + std::to_string(stats.pass_entries);
   out += "}";
   return out;
 }

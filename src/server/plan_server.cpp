@@ -78,6 +78,10 @@ std::future<ServerResponse> PlanServer::submit(service::PlanRequest request) {
     promise.set_value(shed_response(request, verdict));
     return future;
   }
+  // Hashed once, outside the lock: the fusion key is also the identity the
+  // service's tree-pass cache looks the request up under.
+  const std::uint64_t fusion =
+      service::tree_identity(request, service::effective_seed(request, config_.service.seed));
   {
     const std::lock_guard lock(mutex_);
     if (stop_) {
@@ -89,8 +93,7 @@ std::future<ServerResponse> PlanServer::submit(service::PlanRequest request) {
       return future;
     }
     Item item;
-    item.fusion = service::tree_identity(
-        request, service::effective_seed(request, config_.service.seed));
+    item.fusion = fusion;
     item.promise = std::move(promise);
     const std::string tenant = request.tenant;
     item.request = std::move(request);
@@ -102,7 +105,7 @@ std::future<ServerResponse> PlanServer::submit(service::PlanRequest request) {
 
 void PlanServer::worker_loop() {
   for (;;) {
-    std::vector<Item> group;
+    std::vector<std::pair<std::string, Item>> group;  // (tenant, item)
     {
       std::unique_lock lock(mutex_);
       work_cv_.wait(lock, [this] {
@@ -114,15 +117,15 @@ void PlanServer::worker_loop() {
       }
       auto lead = sched_.pop();
       if (!lead.has_value()) continue;
-      group.push_back(std::move(lead->second));
+      group.push_back(std::move(*lead));
       if (config_.fuse && config_.fuse_limit > 1) {
-        const std::uint64_t fusion = group.front().fusion;
+        const std::uint64_t fusion = group.front().second.fusion;
         auto riders = sched_.extract_if(
             [fusion](const Item& item) { return item.fusion == fusion; },
             config_.fuse_limit - 1);
-        for (auto& rider : riders) group.push_back(std::move(rider.second));
+        for (auto& rider : riders) group.push_back(std::move(rider));
       }
-      for (Item& item : group) {
+      for (auto& [tenant, item] : group) {
         item.seq = ++seq_;
         item.wait_seconds = item.waited.seconds();
       }
@@ -137,24 +140,29 @@ void PlanServer::worker_loop() {
       fused_requests_.fetch_add(group.size());
     }
 
+    // The group's requests move into the batch; the tenants stay in `group`.
+    std::vector<service::PlanRequest> requests;
+    std::vector<std::uint64_t> identities;
+    requests.reserve(group.size());
+    identities.reserve(group.size());
+    for (auto& [tenant, item] : group) {
+      requests.push_back(std::move(item.request));
+      identities.push_back(item.fusion);
+    }
     std::vector<service::PlanResponse> plans;
     try {
-      if (group.size() == 1) {
-        plans.push_back(service_.plan(group.front().request));
-      } else {
-        std::vector<service::PlanRequest> requests;
-        requests.reserve(group.size());
-        for (const Item& item : group) requests.push_back(item.request);
-        plans = service_.plan_fused(requests);
-      }
+      if (group.size() == 1)
+        plans.push_back(service_.plan(requests.front(), identities.front()));
+      else
+        plans = service_.plan_fused(requests, identities);
     } catch (const std::exception& e) {
       // plan()/plan_fused() answer bad requests ok=false rather than
       // throwing; this catches allocation-class failures so the promises
       // below are still always fulfilled.
       plans.clear();
-      for (const Item& item : group) {
+      for (const service::PlanRequest& request : requests) {
         service::PlanResponse failed;
-        failed.id = item.request.id;
+        failed.id = request.id;
         auto stats = std::make_shared<service::PlanStats>();
         stats->ok = false;
         stats->error = e.what();
@@ -164,17 +172,18 @@ void PlanServer::worker_loop() {
     }
 
     for (std::size_t i = 0; i < group.size(); ++i) {
+      auto& [tenant, item] = group[i];
       ServerResponse response;
       response.plan = std::move(plans[i]);
-      response.tenant = group[i].request.tenant;
-      response.dispatch_seq = group[i].seq;
-      response.wait_seconds = group[i].wait_seconds;
-      group[i].promise.set_value(std::move(response));
+      response.tenant = tenant;
+      response.dispatch_seq = item.seq;
+      response.wait_seconds = item.wait_seconds;
+      item.promise.set_value(std::move(response));
     }
 
     {
       const std::lock_guard lock(mutex_);
-      for (const Item& item : group) sched_.end_inflight(item.request.tenant);
+      for (const auto& [tenant, item] : group) sched_.end_inflight(tenant);
       --busy_;
     }
     work_cv_.notify_all();  // freed cap room may make a capped tenant eligible

@@ -57,12 +57,20 @@ const char* replay_config_error(const PlanRequest& request) {
   return nullptr;
 }
 
+/// The strategies that return OptMinMem's schedule at any bound at or
+/// above its peak: OptMinMem itself, and RecExpand / FullRecExpand, which
+/// expand nothing there (RecExpand.NoExpansionReturnsOptMinMemSchedule).
+bool follows_optminmem(core::Strategy s) {
+  return s == core::Strategy::kOptMinMem || s == core::Strategy::kRecExpand ||
+         s == core::Strategy::kFullRecExpand;
+}
+
 }  // namespace
 
 /// Per-tree shared planning state of one fused group: the tree's
-/// OptMinMem pass (schedule and peak) and the FiF of that schedule at the
-/// peak, computed once, when the first member needs them. Both are pure
-/// functions of the tree alone, so:
+/// OptMinMem pass (schedule, peak, and the FiF of that schedule at the
+/// peak), taken from the tree-pass cache or computed once, when the first
+/// member needs it. The pass is a pure function of the tree alone, so:
 ///   * kOptMinMem hands out copies of the one optimal schedule
 ///     core::run_strategy would recompute;
 ///   * a kRecExpand / kFullRecExpand member whose bound is at or above the
@@ -70,64 +78,96 @@ const char* replay_config_error(const PlanRequest& request) {
 ///     returns OptMinMem's schedule, with the FiF of that schedule as its
 ///     evaluation (RecExpand.NoExpansionReturnsOptMinMemSchedule);
 ///   * at or above the peak, memory never binds on that schedule, so FiF
-///     evicts nothing and its result is the same for every such bound;
-///     below it, the member's own bound is simulated;
+///     evicts nothing and writes nothing, for every such bound; below it,
+///     the member's own bound is simulated;
 ///   * every other member *is* core::run_strategy.
-/// run() is therefore bit-identical to core::run_strategy by construction.
+/// run() is therefore bit-identical to core::run_strategy by construction,
+/// and only needs the tree (attach()) for what the pass does not answer.
 class PlanService::SharedPlanState {
  public:
-  explicit SharedPlanState(const core::Tree& tree) : tree_(tree) {}
+  explicit SharedPlanState(std::shared_ptr<const TreePass> stored)
+      : pass_(std::move(stored)), stored_(pass_ != nullptr) {}
 
-  /// True when run(s, memory) answers an expanding strategy from the
-  /// shared pass instead of running it.
+  /// The group's tree and its facts; the pass is computed from it when
+  /// none was stored.
+  void attach(const core::Tree& tree, const TreeFacts& facts) {
+    tree_ = &tree;
+    facts_ = facts;
+  }
+
+  /// True when run(s, memory) answers from the pass without the tree.
+  [[nodiscard]] bool non_binding(core::Strategy s, core::Weight memory) {
+    return follows_optminmem(s) && memory >= pass().peak;
+  }
+
+  /// True when run(s, memory) answers an expanding strategy from the pass
+  /// instead of running it.
   [[nodiscard]] bool unexpanded(core::Strategy s, core::Weight memory) {
-    return (s == core::Strategy::kRecExpand || s == core::Strategy::kFullRecExpand) &&
-           memory >= pass().optminmem.peak;
+    return s != core::Strategy::kOptMinMem && non_binding(s, memory);
   }
 
   [[nodiscard]] core::StrategyOutcome run(core::Strategy s, core::Weight memory) {
-    if (s != core::Strategy::kOptMinMem && !unexpanded(s, memory))
-      return core::run_strategy(s, tree_, memory);
-    const Pass& shared = pass();
+    if (non_binding(s, memory)) return pass_outcome(s, pass());
+    if (s != core::Strategy::kOptMinMem) return core::run_strategy(s, *tree_, memory);
     core::StrategyOutcome out;
     out.strategy = s;
-    out.schedule = shared.optminmem.schedule;
-    out.evaluation = memory >= shared.optminmem.peak
-                         ? shared.fif_at_peak
-                         : core::simulate_fif(tree_, out.schedule, memory);
+    out.schedule = pass().schedule;
+    out.evaluation = core::simulate_fif(*tree_, out.schedule, memory);
     return out;
   }
 
- private:
-  struct Pass {
-    core::OptMinMemResult optminmem;
-    core::FifResult fif_at_peak;
-  };
-
-  const Pass& pass() {
-    if (!planned_) {
-      pass_.optminmem = core::opt_minmem(tree_);
-      pass_.fif_at_peak =
-          core::simulate_fif(tree_, pass_.optminmem.schedule, pass_.optminmem.peak);
-      planned_ = true;
-    }
-    return pass_;
+  /// The outcome of `s` at any bound at or above the peak, from `pass`
+  /// alone: memory never binds there, so FiF writes nothing.
+  [[nodiscard]] static core::StrategyOutcome pass_outcome(core::Strategy s, const TreePass& pass) {
+    core::StrategyOutcome out;
+    out.strategy = s;
+    out.schedule = pass.schedule;
+    out.evaluation.feasible = true;
+    out.evaluation.io.assign(pass.facts.nodes, 0);
+    out.evaluation.peak_resident = pass.peak_resident;
+    return out;
   }
 
-  const core::Tree& tree_;
-  Pass pass_;
-  bool planned_ = false;
+  /// The pass this group computed itself, for the tree-pass cache; nullptr
+  /// when it was stored or no member needed it.
+  [[nodiscard]] std::shared_ptr<const TreePass> computed() const {
+    return stored_ ? nullptr : pass_;
+  }
+
+ private:
+  const TreePass& pass() {
+    if (pass_ == nullptr) {
+      auto pass = std::make_shared<TreePass>();
+      pass->facts = facts_;
+      core::OptMinMemResult optminmem = core::opt_minmem(*tree_);
+      const core::FifResult fif = core::simulate_fif(*tree_, optminmem.schedule, optminmem.peak);
+      core::audit_check(fif.feasible && fif.io_volume == 0 && fif.evictions == 0,
+                        "PlanService: FiF binds at the OptMinMem peak");
+      pass->peak = optminmem.peak;
+      pass->schedule = std::move(optminmem.schedule);
+      pass->peak_resident = fif.peak_resident;
+      pass_ = std::move(pass);
+    }
+    return *pass_;
+  }
+
+  std::shared_ptr<const TreePass> pass_;
+  const bool stored_;
+  const core::Tree* tree_ = nullptr;
+  TreeFacts facts_;
 };
 
 PlanService::PlanService(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity, config.cache_shards, config.persist_dir),
       sources_(config.cache_capacity == 0 ? 0 : kSourceCacheBytes),
+      passes_(config.cache_capacity == 0 ? 0 : kTreePassCacheBytes),
       pool_(config.threads) {}
 
 std::future<PlanResponse> PlanService::submit(PlanRequest request) {
   submitted_.fetch_add(1);
-  return pool_.submit([this, request = std::move(request)] { return serve(request); });
+  return pool_.submit(
+      [this, request = std::move(request)] { return serve(request, std::nullopt); });
 }
 
 std::vector<std::future<PlanResponse>> PlanService::submit_batch(
@@ -140,17 +180,30 @@ std::vector<std::future<PlanResponse>> PlanService::submit_batch(
 
 PlanResponse PlanService::plan(const PlanRequest& request) {
   submitted_.fetch_add(1);
-  return serve(request);
+  return serve(request, std::nullopt);
+}
+
+PlanResponse PlanService::plan(const PlanRequest& request, std::uint64_t identity) {
+  submitted_.fetch_add(1);
+  return serve(request, identity);
 }
 
 std::vector<PlanResponse> PlanService::plan_fused(const std::vector<PlanRequest>& requests) {
+  std::vector<std::uint64_t> identities(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    identities[i] = tree_identity(requests[i], effective_seed(requests[i], config_.seed));
+  return plan_fused(requests, identities);
+}
+
+std::vector<PlanResponse> PlanService::plan_fused(const std::vector<PlanRequest>& requests,
+                                                  const std::vector<std::uint64_t>& identities) {
+  if (identities.size() != requests.size())
+    throw std::invalid_argument("plan_fused: one identity per request");
   std::vector<PlanResponse> responses(requests.size());
   std::vector<std::uint64_t> seeds(requests.size());
-  std::vector<std::uint64_t> identities(requests.size());
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     seeds[i] = effective_seed(requests[i], config_.seed);
-    identities[i] = tree_identity(requests[i], seeds[i]);
     groups[identities[i]].push_back(i);
   }
   // Process groups in first-member order so the batch is served
@@ -161,18 +214,24 @@ std::vector<PlanResponse> PlanService::plan_fused(const std::vector<PlanRequest>
     const std::vector<std::size_t>& members = groups[identities[i]];
     for (const std::size_t m : members) handled[m] = true;
     if (members.size() == 1) {
-      responses[i] = plan(requests[i]);  // singleton: ordinary serve() path
+      responses[i] = plan(requests[i], identities[i]);  // singleton: ordinary serve() path
       continue;
     }
     submitted_.fetch_add(members.size());
-    serve_group(requests, members, seeds, responses);
+    serve_group(requests, members, seeds, identities[i], responses);
   }
   return responses;
 }
 
+std::shared_ptr<const PlanService::TreePass> PlanService::stored_pass(
+    const PlanRequest& request, std::uint64_t seed, std::optional<std::uint64_t> identity) {
+  if (passes_.budget() == 0) return nullptr;
+  return passes_.find(identity.has_value() ? *identity : tree_identity(request, seed));
+}
+
 void PlanService::serve_group(const std::vector<PlanRequest>& requests,
                               const std::vector<std::size_t>& members,
-                              const std::vector<std::uint64_t>& seeds,
+                              const std::vector<std::uint64_t>& seeds, std::uint64_t identity,
                               std::vector<PlanResponse>& responses) {
   const util::Stopwatch watch;
 
@@ -201,26 +260,40 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
   }
   if (pending.empty()) return;
 
-  // One materialization for the whole group — members share tree_identity,
-  // so they materialize bit-identical trees by construction.
+  // Members share tree_identity, so they materialize bit-identical trees
+  // by construction: one materialization serves the whole group, and a
+  // stored pass of that tree defers it until a member needs the tree.
+  // Only value-determined trees (those with a spec fingerprint) are stored.
+  const std::size_t first = pending.front().index;
+  const bool value_determined = pending.front().fingerprint.has_value();
+  std::shared_ptr<const TreePass> stored =
+      value_determined ? stored_pass(requests[first], seeds[first], identity) : nullptr;
+  SharedPlanState shared(stored);
   std::optional<core::Tree> tree;
-  try {
-    const std::size_t first = pending.front().index;
+  TreeFacts facts;
+  const auto materialize_group = [&] {
     tree.emplace(materialize(requests[first], seeds[first]));
-  } catch (const std::exception& e) {
-    for (const Pending& p : pending)
-      responses[p.index] =
-          respond(requests[p.index], error_stats(e.what()), Served::kFused, watch.seconds());
-    return;
+    if (stored == nullptr) facts = TreeFacts::of(*tree);
+    shared.attach(*tree, facts);
+  };
+  if (stored != nullptr) {
+    facts = stored->facts;
+  } else {
+    try {
+      materialize_group();
+    } catch (const std::exception& e) {
+      for (const Pending& p : pending)
+        responses[p.index] =
+            respond(requests[p.index], error_stats(e.what()), Served::kFused, watch.seconds());
+      return;
+    }
   }
 
-  SharedPlanState shared(*tree);
-  const std::uint64_t tree_hash = tree->canonical_hash();
   for (const auto& [i, fingerprint] : pending) {
     const PlanRequest& request = requests[i];
     try {
-      const core::Weight memory = resolve_memory(request, *tree);
-      const CacheKey key{tree_hash, params_fingerprint(request, memory, seeds[i])};
+      const core::Weight memory = resolve_memory(request, facts.lb);
+      const CacheKey key{facts.tree_hash, params_fingerprint(request, memory, seeds[i])};
       const CacheKey spec_key{fingerprint.value_or(0), kFingerprintTag};
       // The canonical probe also dedups *within* the group: an earlier
       // member with the same (memory, strategy, replay) put its result
@@ -230,21 +303,30 @@ void PlanService::serve_group(const std::vector<PlanRequest>& requests,
         responses[i] = respond(request, std::move(hit), Served::kCached, watch.seconds());
         continue;
       }
+      // A member the stored pass answers alone needs no tree.
+      const bool from_store = stored != nullptr && !request.parallel.has_value() &&
+                              shared.non_binding(request.strategy, memory);
+      if (!from_store && !tree.has_value()) materialize_group();
       const bool unexpanded = shared.unexpanded(request.strategy, memory);
       std::shared_ptr<const PlanStats> stats =
-          finish_stats(request, *tree, tree_hash, memory, seeds[i],
+          finish_stats(request, facts, tree.has_value() ? &*tree : nullptr, memory, seeds[i],
                        shared.run(request.strategy, memory));
       if (stats->ok) {
         cache_.put(key, stats, /*persistable=*/true);
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
       }
       responses[i] = respond(request, std::move(stats), Served::kFused, watch.seconds());
-      // After respond() bumped fused_, so fused_unexpanded_ <= fused_
-      // holds at every instant audit() can observe.
+      // After respond() bumped fused_, so fused_unexpanded_ <= fused_ and
+      // pass_answers_ <= fused_ hold at every instant audit() can observe.
       if (unexpanded) fused_unexpanded_.fetch_add(1);
+      if (from_store) pass_answers_.fetch_add(1);
     } catch (const std::exception& e) {
       responses[i] = respond(request, error_stats(e.what()), Served::kFused, watch.seconds());
     }
+  }
+  if (value_determined) {
+    if (std::shared_ptr<const TreePass> computed = shared.computed())
+      passes_.insert(identity, std::move(computed));
   }
 }
 
@@ -268,7 +350,8 @@ PlanResponse PlanService::respond(const PlanRequest& request,
   return response;
 }
 
-PlanResponse PlanService::serve(const PlanRequest& request) {
+PlanResponse PlanService::serve(const PlanRequest& request,
+                                std::optional<std::uint64_t> identity) {
   const util::Stopwatch watch;
   const std::uint64_t seed = effective_seed(request, config_.seed);
 
@@ -288,12 +371,22 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
   }
 
   try {
-    core::Tree tree = materialize(request, seed);
-    const core::Weight memory = resolve_memory(request, tree);
+    // Layer 1b: a stored pass of a value-determined tree stands in for the
+    // tree until a step needs it.
+    const std::shared_ptr<const TreePass> stored =
+        fingerprint.has_value() ? stored_pass(request, seed, identity) : nullptr;
+    std::optional<core::Tree> tree;
+    TreeFacts facts;
+    if (stored != nullptr) {
+      facts = stored->facts;
+    } else {
+      tree.emplace(materialize(request, seed));
+      facts = TreeFacts::of(*tree);
+    }
+    const core::Weight memory = resolve_memory(request, facts.lb);
 
     // Layer 2: canonical key — identical instances from any source collapse.
-    const std::uint64_t tree_hash = tree.canonical_hash();
-    const CacheKey key{tree_hash, params_fingerprint(request, memory, seed)};
+    const CacheKey key{facts.tree_hash, params_fingerprint(request, memory, seed)};
     if (auto hit = cache_.get(key)) {
       // Spec-fingerprint entries are derivable from the request alone, so
       // they stay RAM-only (persistable=false); only canonical entries are
@@ -301,6 +394,23 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
       if (fingerprint.has_value()) cache_.put(spec_key, hit, /*persistable=*/false);
       return respond(std::move(hit), Served::kCached);
     }
+
+    // A non-binding answer is the stored pass itself, cheaper than joining
+    // an in-flight computation of it.
+    if (stored != nullptr && !request.parallel.has_value() &&
+        follows_optminmem(request.strategy) && memory >= stored->peak) {
+      std::shared_ptr<const PlanStats> stats =
+          finish_stats(request, facts, nullptr, memory, seed,
+                       SharedPlanState::pass_outcome(request.strategy, *stored));
+      if (stats->ok) {
+        cache_.put(key, stats, /*persistable=*/true);
+        if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
+      }
+      PlanResponse response = respond(std::move(stats), Served::kComputed);
+      pass_answers_.fetch_add(1);  // after computed_, as audit() reads them
+      return response;
+    }
+    if (!tree.has_value()) tree.emplace(materialize(request, seed));
 
     // Layer 3: coalesce with an identical computation already running.
     std::promise<std::shared_ptr<const PlanStats>> promise;
@@ -337,7 +447,7 @@ PlanResponse PlanService::serve(const PlanRequest& request) {
     // stale entry would poison all future requests for this instance.
     std::shared_ptr<const PlanStats> stats;
     try {
-      stats = compute(request, std::move(tree), tree_hash, memory, seed);
+      stats = compute(request, std::move(*tree), facts, memory, seed);
       if (stats->ok) {
         cache_.put(key, stats, /*persistable=*/true);
         if (fingerprint.has_value()) cache_.put(spec_key, stats, /*persistable=*/false);
@@ -368,11 +478,11 @@ core::Tree PlanService::materialize(const PlanRequest& request, std::uint64_t se
 }
 
 std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request,
-                                                      core::Tree tree, std::uint64_t tree_hash,
+                                                      core::Tree tree, const TreeFacts& facts,
                                                       core::Weight memory,
                                                       std::uint64_t seed) const {
   try {
-    return finish_stats(request, tree, tree_hash, memory, seed,
+    return finish_stats(request, facts, &tree, memory, seed,
                         core::run_strategy(request.strategy, tree, memory));
   } catch (const std::exception& e) {
     return error_stats(e.what());
@@ -380,17 +490,17 @@ std::shared_ptr<const PlanStats> PlanService::compute(const PlanRequest& request
 }
 
 std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& request,
-                                                           const core::Tree& tree,
-                                                           std::uint64_t tree_hash,
+                                                           const TreeFacts& facts,
+                                                           const core::Tree* tree,
                                                            core::Weight memory,
                                                            std::uint64_t seed,
                                                            core::StrategyOutcome outcome) const {
   auto stats = std::make_shared<PlanStats>();
   try {
-    stats->nodes = tree.size();
-    stats->tree_hash = tree_hash;
-    stats->total_weight = tree.total_weight();
-    stats->lb = tree.min_feasible_memory();
+    stats->nodes = facts.nodes;
+    stats->tree_hash = facts.tree_hash;
+    stats->total_weight = facts.total_weight;
+    stats->lb = facts.lb;
     stats->memory = memory;
     stats->strategy = request.strategy;
 
@@ -403,6 +513,7 @@ std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& re
     stats->evictions = outcome.evaluation.evictions;
 
     if (request.parallel.has_value()) {
+      if (tree == nullptr) throw std::logic_error("finish_stats: a replay needs the tree");
       // The unit replay is the page_size = 1 specialization of the paged
       // engine (free reads), so one call serves both request shapes; only
       // the page stats are gated on the request actually being paged.
@@ -414,7 +525,7 @@ std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& re
       if (request.disk_bandwidth > 0)
         paged.disk = iosim::DiskModel{request.disk_latency, request.disk_bandwidth};
       const parallel::PagedParallelResult replay =
-          parallel::simulate_parallel_paged(tree, paged, stats->schedule);
+          parallel::simulate_parallel_paged(*tree, paged, stats->schedule);
       stats->replayed = true;
       stats->replay_feasible = replay.base.feasible;
       stats->workers = paged.base.workers;
@@ -443,15 +554,18 @@ std::shared_ptr<const PlanStats> PlanService::finish_stats(const PlanRequest& re
 void PlanService::audit(bool quiescent) const {
   // Counter relations that hold at every instant of serve(): the served
   // counters (computed/cached/coalesced/fused) are bumped before completed_,
-  // fused_unexpanded_ after fused_, and nothing is served that was not
-  // submitted. Loads are monotone, so a concurrent serve can only widen the
-  // inequalities, never break them — read completed_ first, each counter
-  // before the one that bounds it, and submitted_ last.
+  // fused_unexpanded_ after fused_, pass_answers_ after computed_ or fused_,
+  // and nothing is served that was not submitted. Loads are monotone, so a
+  // concurrent serve can only widen the inequalities, never break them —
+  // read completed_ first, each counter before the one that bounds it, and
+  // submitted_ last.
   const std::uint64_t completed = completed_.load();
   const std::uint64_t failed = failed_.load();
   const std::uint64_t fused_unexpanded = fused_unexpanded_.load();
+  const std::uint64_t pass_answers = pass_answers_.load();
   const std::uint64_t fused = fused_.load();
-  const std::uint64_t served = computed_.load() + cached_.load() + coalesced_.load() + fused;
+  const std::uint64_t computed = computed_.load();
+  const std::uint64_t served = computed + cached_.load() + coalesced_.load() + fused;
   const std::uint64_t submitted = submitted_.load();
   core::audit_check(completed <= served,
                     "PlanService: completed responses outnumber served ones");
@@ -459,6 +573,8 @@ void PlanService::audit(bool quiescent) const {
   core::audit_check(failed <= served, "PlanService: failed responses outnumber served ones");
   core::audit_check(fused_unexpanded <= fused,
                     "PlanService: unexpanded fused answers outnumber fused ones");
+  core::audit_check(pass_answers <= computed + fused,
+                    "PlanService: tree-pass answers outnumber computed and fused ones");
   {
     const std::lock_guard lock(inflight_mutex_);
     if (quiescent)
@@ -469,6 +585,9 @@ void PlanService::audit(bool quiescent) const {
   }
   cache_.audit();
   sources_.audit();
+  passes_.audit("PlanService tree-pass cache", [](const TreePass& pass) {
+    return pass.schedule.size() == pass.facts.nodes && pass.peak >= pass.facts.lb;
+  });
 }
 
 ServiceStats PlanService::stats() const {
@@ -486,6 +605,10 @@ ServiceStats PlanService::stats() const {
   out.source_hits = sources.hits;
   out.source_misses = sources.misses;
   out.source_bytes = sources.bytes;
+  out.pass_answers = pass_answers_.load();
+  const LruCounters passes = passes_.counters();
+  out.pass_bytes = passes.bytes;
+  out.pass_entries = passes.entries;
   return out;
 }
 

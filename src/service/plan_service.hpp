@@ -2,8 +2,8 @@
 //
 // The throughput front-end over the paper's algorithms: requests submitted
 // through submit() run on a util::ThreadPool and resolve to
-// std::future<PlanResponse>. A source cache and three result layers keep
-// repeated instances from recomputing:
+// std::future<PlanResponse>. A source cache, a tree-pass cache and three
+// result layers keep repeated instances from recomputing:
 //   0. source cache — a .tree / .mtx request's file is read once and its
 //      bytes digested; equal bytes rebuild the tree from a cached shape
 //      instead of re-parsing (and, for .mtx, re-ordering and re-assembling)
@@ -11,6 +11,12 @@
 //   1. request-fingerprint cache — value-determined requests (generator
 //      specs, inline parent vectors) are answered from their spec digest
 //      without materializing the tree;
+//   1b. tree-pass cache — a value-determined tree that a fused group
+//      planned keeps its OptMinMem pass under its tree_identity; a later
+//      request for that tree takes its canonical key from the pass, and an
+//      OptMinMem / RecExpand / FullRecExpand request at or above the peak
+//      (where memory never binds) is answered from it with zero I/O,
+//      without materializing or planning the tree;
 //   2. canonical-tree cache — after materialization, the cache key is
 //      (Tree::canonical_hash(), params digest), so the *same instance*
 //      arriving as a generator spec, a parent vector or a file is served
@@ -37,15 +43,22 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "src/service/byte_lru.hpp"
 #include "src/service/request.hpp"
 #include "src/service/result_cache.hpp"
 #include "src/service/source_cache.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ooctree::service {
+
+/// Bytes the tree-pass cache may hold: a stored pass costs 4 B per node of
+/// schedule, so about 780 k nodes. Not a ServiceConfig knob: cache_capacity
+/// == 0 switches it off with the result cache, and nothing else tunes it.
+inline constexpr std::size_t kTreePassCacheBytes = std::size_t{3} << 20;
 
 /// Service knobs.
 struct ServiceConfig {
@@ -76,6 +89,11 @@ struct ServiceStats {
   std::uint64_t source_hits = 0;    ///< text path requests rebuilt from a cached shape
   std::uint64_t source_misses = 0;  ///< text path requests parsed from their bytes
   std::size_t source_bytes = 0;     ///< shape bytes the source cache holds
+  /// Computed or fused answers at a non-binding bound taken from a stored
+  /// tree pass, with neither materialization nor planning.
+  std::uint64_t pass_answers = 0;
+  std::size_t pass_bytes = 0;    ///< bytes the tree-pass cache holds
+  std::size_t pass_entries = 0;  ///< tree passes the tree-pass cache holds
 };
 
 /// Asynchronous batched planning front-end. Thread-safe; destruction
@@ -98,6 +116,9 @@ class PlanService {
   /// Serves one request synchronously on the calling thread — the same
   /// path submit() takes (cache, coalescing, counters included).
   [[nodiscard]] PlanResponse plan(const PlanRequest& request);
+  /// plan() for a caller that already hashed the request's `identity`:
+  /// tree_identity(request, effective_seed(request, config().seed)).
+  [[nodiscard]] PlanResponse plan(const PlanRequest& request, std::uint64_t identity);
 
   /// Serves a batch synchronously with *fusion*: requests that materialize
   /// the same tree (equal tree_identity) share one materialization and one
@@ -113,8 +134,15 @@ class PlanService {
   /// cache layers still apply (hits respond kCached), singleton groups take
   /// the ordinary serve() path, and responses come back in request order.
   /// Fused members skip in-flight coalescing — a concurrent identical
-  /// leader costs a duplicate compute, never a wrong answer.
+  /// leader costs a duplicate compute, never a wrong answer. A group that
+  /// ran the OptMinMem pass of a value-determined tree stores it in the
+  /// tree-pass cache; a group whose tree is stored starts from that pass
+  /// and materializes the tree only for a member that still needs it.
   [[nodiscard]] std::vector<PlanResponse> plan_fused(const std::vector<PlanRequest>& requests);
+  /// plan_fused() for a caller that already hashed every request's
+  /// identity, as plan(request, identity) takes it.
+  [[nodiscard]] std::vector<PlanResponse> plan_fused(const std::vector<PlanRequest>& requests,
+                                                     const std::vector<std::uint64_t>& identities);
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] std::size_t threads() const { return pool_.size(); }
@@ -124,9 +152,11 @@ class PlanService {
   /// the result cache, throwing core::AuditError on drift. Safe to call
   /// while requests are in flight: it only asserts the monotone relations
   /// that hold mid-serve (completed <= computed + cached + coalesced +
-  /// fused <= submitted, fused_unexpanded <= fused, every pending
-  /// in-flight future valid) plus the full ResultCache::audit() and
-  /// SourceCache::audit(). At quiescence (every future resolved) the
+  /// fused <= submitted, fused_unexpanded <= fused, pass_answers <=
+  /// computed + fused, every pending in-flight future valid) plus the full
+  /// ResultCache::audit(), SourceCache::audit() and the tree-pass cache's
+  /// ByteLru::audit() (index and LRU list agree, bytes within the
+  /// budget). At quiescence (every future resolved) the
   /// in-flight table must be empty — pass `quiescent = true` to assert
   /// that and the exact completed == served-class balance.
   void audit(bool quiescent = false) const;
@@ -134,25 +164,54 @@ class PlanService {
  private:
   class SharedPlanState;
 
-  PlanResponse serve(const PlanRequest& request);
+  /// The instance fields of an answer. `tree_hash` is
+  /// Tree::canonical_hash(), computed once per tree for the cache key.
+  struct TreeFacts {
+    std::uint64_t tree_hash = 0;
+    std::size_t nodes = 0;
+    core::Weight total_weight = 0;
+    core::Weight lb = 0;
+    [[nodiscard]] static TreeFacts of(const core::Tree& tree) {
+      return {tree.canonical_hash(), tree.size(), tree.total_weight(),
+              tree.min_feasible_memory()};
+    }
+  };
+  /// What a non-binding answer needs of a tree; every field is a pure
+  /// function of the tree. The entry of the tree-pass cache.
+  struct TreePass {
+    TreeFacts facts;
+    core::Weight peak = 0;           ///< OptMinMem's peak
+    core::Schedule schedule;         ///< OptMinMem's schedule
+    core::Weight peak_resident = 0;  ///< of the FiF of `schedule` at `peak`
+    [[nodiscard]] std::size_t bytes() const {
+      return sizeof(TreePass) + schedule.size() * sizeof(core::NodeId);
+    }
+  };
+
+  /// `identity` is the request's tree_identity when the caller hashed it.
+  PlanResponse serve(const PlanRequest& request, std::optional<std::uint64_t> identity);
   /// materialize_tree, with text path sources served through sources_.
   [[nodiscard]] core::Tree materialize(const PlanRequest& request, std::uint64_t seed);
+  /// The stored pass of a value-determined request's tree, or nullptr.
+  [[nodiscard]] std::shared_ptr<const TreePass> stored_pass(const PlanRequest& request,
+                                                            std::uint64_t seed,
+                                                            std::optional<std::uint64_t> identity);
   void serve_group(const std::vector<PlanRequest>& requests,
                    const std::vector<std::size_t>& members,
-                   const std::vector<std::uint64_t>& seeds,
+                   const std::vector<std::uint64_t>& seeds, std::uint64_t identity,
                    std::vector<PlanResponse>& responses);
   PlanResponse respond(const PlanRequest& request, std::shared_ptr<const PlanStats> stats,
                        Served served, double seconds);
-  /// `tree_hash` is tree.canonical_hash(), computed once per request for
-  /// the cache key and reused for the stats.
   [[nodiscard]] std::shared_ptr<const PlanStats> compute(const PlanRequest& request,
-                                                         core::Tree tree, std::uint64_t tree_hash,
+                                                         core::Tree tree, const TreeFacts& facts,
                                                          core::Weight memory,
                                                          std::uint64_t seed) const;
   /// Evaluates + replays an already-planned outcome into immutable stats.
+  /// `tree` is only read by a replay, and may be null for a request
+  /// without one.
   [[nodiscard]] std::shared_ptr<const PlanStats> finish_stats(const PlanRequest& request,
-                                                              const core::Tree& tree,
-                                                              std::uint64_t tree_hash,
+                                                              const TreeFacts& facts,
+                                                              const core::Tree* tree,
                                                               core::Weight memory,
                                                               std::uint64_t seed,
                                                               core::StrategyOutcome outcome) const;
@@ -160,6 +219,7 @@ class PlanService {
   ServiceConfig config_;
   ResultCache cache_;
   SourceCache sources_;
+  ByteLru<std::uint64_t, TreePass> passes_;  ///< keyed by tree_identity
 
   /// Canonical keys currently being computed; waiters share the leader's
   /// eventual PlanStats through a shared_future. Mutable so the const
@@ -176,6 +236,7 @@ class PlanService {
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> fused_{0};
   std::atomic<std::uint64_t> fused_unexpanded_{0};
+  std::atomic<std::uint64_t> pass_answers_{0};
   std::atomic<std::uint64_t> failed_{0};
 
   /// Declared last on purpose: the pool is destroyed first, draining every

@@ -194,8 +194,7 @@ core::Tree tree_from_bytes(TreeSource source, std::string bytes, core::MemoryMod
   return tree;
 }
 
-core::Weight resolve_memory(const PlanRequest& request, const core::Tree& tree) {
-  const core::Weight lb = tree.min_feasible_memory();
+core::Weight resolve_memory(const PlanRequest& request, core::Weight lb) {
   if (request.memory > 0) {
     if (request.memory < lb)
       throw std::invalid_argument("memory bound " + std::to_string(request.memory) +
@@ -211,6 +210,10 @@ core::Weight resolve_memory(const PlanRequest& request, const core::Tree& tree) 
   if (!(bound < 0x1p63))
     throw std::invalid_argument("memory_lb multiple gives a bound beyond the int64 range");
   return std::max(lb, static_cast<core::Weight>(bound));
+}
+
+core::Weight resolve_memory(const PlanRequest& request, const core::Tree& tree) {
+  return resolve_memory(request, tree.min_feasible_memory());
 }
 
 std::optional<std::uint64_t> request_fingerprint(const PlanRequest& request, std::uint64_t seed) {

@@ -210,10 +210,14 @@ struct PlanResponse {
 [[nodiscard]] core::Tree tree_from_bytes(TreeSource source, std::string bytes,
                                          core::MemoryModel model);
 
-/// Resolves the request's memory bound against the materialized tree.
-/// Throws std::invalid_argument when an absolute bound is below LB, when
-/// the multiple is below 1, or when LB × memory_lb is not a finite value
-/// below 2^63 (no int64 bound represents it).
+/// Resolves the request's memory bound against an instance whose
+/// feasibility bound is `lb`. Throws std::invalid_argument when an
+/// absolute bound is below LB, when the multiple is below 1, or when
+/// LB × memory_lb is not a finite value below 2^63 (no int64 bound
+/// represents it).
+[[nodiscard]] core::Weight resolve_memory(const PlanRequest& request, core::Weight lb);
+
+/// resolve_memory against the materialized tree's LB.
 [[nodiscard]] core::Weight resolve_memory(const PlanRequest& request, const core::Tree& tree);
 
 /// Fingerprint of a *value-determined* request: a 64-bit digest of every

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/core/check.hpp"
 #include "src/util/rng.hpp"
 
 namespace ooctree::service {
@@ -37,14 +36,14 @@ SourceKey source_key(TreeSource kind, std::string_view bytes) {
 
 core::Tree SourceCache::tree(TreeSource kind, const std::string& path, core::MemoryModel model) {
   std::string bytes = read_source_file(kind, path);
-  if (budget_ == 0) return tree_from_bytes(kind, std::move(bytes), model);
+  if (shapes_.budget() == 0) return tree_from_bytes(kind, std::move(bytes), model);
   const SourceKey key = source_key(kind, bytes);
-  if (const std::shared_ptr<const Shape> shape = find(key))
+  if (const std::shared_ptr<const Shape> shape = shapes_.find(key))
     return core::Tree::from_parents(shape->parent, shape->weight, model);
 
   core::Tree tree = tree_from_bytes(kind, std::move(bytes), model);
   const std::size_t n = tree.size();
-  if (n * (sizeof(core::NodeId) + sizeof(core::Weight)) <= budget_) {
+  if (n * (sizeof(core::NodeId) + sizeof(core::Weight)) <= shapes_.budget()) {
     auto shape = std::make_shared<Shape>();
     shape->parent.resize(n);
     shape->weight.resize(n);
@@ -53,58 +52,15 @@ core::Tree SourceCache::tree(TreeSource kind, const std::string& path, core::Mem
       shape->parent[i] = tree.parent(id);
       shape->weight[i] = tree.weight(id);
     }
-    insert(key, std::move(shape));
+    shapes_.insert(key, std::move(shape));
   }
   return tree;
 }
 
-std::shared_ptr<const SourceCache::Shape> SourceCache::find(const SourceKey& key) {
-  const std::lock_guard lock(mutex_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->shape;
-}
-
-void SourceCache::insert(const SourceKey& key, std::shared_ptr<const Shape> shape) {
-  const std::size_t size = shape->bytes();
-  const std::lock_guard lock(mutex_);
-  if (map_.count(key) != 0) return;  // a concurrent miss on the same bytes stored it first
-  lru_.push_front(Entry{key, std::move(shape)});
-  map_.emplace(key, lru_.begin());
-  bytes_ += size;
-  while (bytes_ > budget_) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.shape->bytes();
-    map_.erase(victim.key);
-    lru_.pop_back();
-  }
-}
-
-SourceCounters SourceCache::counters() const {
-  const std::lock_guard lock(mutex_);
-  return SourceCounters{hits_, misses_, bytes_, map_.size()};
-}
-
 void SourceCache::audit() const {
-  const std::lock_guard lock(mutex_);
-  core::audit_check(map_.size() == lru_.size(), "SourceCache: map and LRU list differ in size");
-  std::size_t total = 0;
-  for (const Entry& entry : lru_) {
-    core::audit_check(entry.shape != nullptr &&
-                          entry.shape->parent.size() == entry.shape->weight.size(),
-                      "SourceCache: null or ragged shape");
-    const auto it = map_.find(entry.key);
-    core::audit_check(it != map_.end() && &*it->second == &entry,
-                      "SourceCache: LRU entry missing from the map");
-    total += entry.shape->bytes();
-  }
-  core::audit_check(total == bytes_, "SourceCache: byte total drifted from its entries");
-  core::audit_check(bytes_ <= budget_, "SourceCache: cached bytes exceed the budget");
+  shapes_.audit("SourceCache", [](const Shape& shape) {
+    return shape.parent.size() == shape.weight.size();
+  });
 }
 
 }  // namespace ooctree::service

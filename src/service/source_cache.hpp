@@ -15,25 +15,22 @@
 // the same bytes share one entry. The digest is non-cryptographic, like
 // Tree::canonical_hash, which keys the result cache after it.
 //
-// The cache is an LRU over shape bytes: a shape larger than the whole
-// budget is not stored, and inserting one evicts least recently used
-// shapes until the total fits. A budget of 0 disables it: tree() then
-// reads and parses every time and counts nothing. `.otree` snapshots stay
+// The cache is a ByteLru (byte_lru.hpp) over shape bytes: a shape larger
+// than the whole budget is not stored, and inserting one evicts least
+// recently used shapes until the total fits. A budget of 0 disables it:
+// tree() then reads and parses every time and counts nothing. `.otree` snapshots stay
 // outside: loading one is an O(1) mmap, which digesting would turn into a
 // full pass over the file.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/tree.hpp"
+#include "src/service/byte_lru.hpp"
 #include "src/service/request.hpp"
 
 namespace ooctree::service {
@@ -51,18 +48,14 @@ struct SourceKey {
 /// splitmix lanes over the bytes make the 128-bit digest.
 [[nodiscard]] SourceKey source_key(TreeSource kind, std::string_view bytes);
 
-/// Counters of a SourceCache.
-struct SourceCounters {
-  std::uint64_t hits = 0;    ///< requests rebuilt from a cached shape
-  std::uint64_t misses = 0;  ///< requests parsed from their bytes
-  std::size_t bytes = 0;     ///< shape bytes held
-  std::size_t entries = 0;   ///< shapes held
-};
+/// Counters of a SourceCache: hits are requests rebuilt from a cached
+/// shape, misses requests parsed from their bytes.
+using SourceCounters = LruCounters;
 
 /// Thread-safe byte-budgeted LRU from source content to tree shape.
 class SourceCache {
  public:
-  explicit SourceCache(std::size_t budget_bytes) : budget_(budget_bytes) {}
+  explicit SourceCache(std::size_t budget_bytes) : shapes_(budget_bytes) {}
 
   SourceCache(const SourceCache&) = delete;
   SourceCache& operator=(const SourceCache&) = delete;
@@ -74,12 +67,10 @@ class SourceCache {
   [[nodiscard]] core::Tree tree(TreeSource kind, const std::string& path,
                                 core::MemoryModel model);
 
-  [[nodiscard]] SourceCounters counters() const;
+  [[nodiscard]] SourceCounters counters() const { return shapes_.counters(); }
 
-  /// Consistency sweep, throwing core::AuditError on drift: the map and
-  /// the LRU list hold the same entries, every shape has as many weights
-  /// as parents, and the byte total is the sum over the shapes and stays
-  /// within the budget.
+  /// Consistency sweep, throwing core::AuditError on drift: ByteLru::audit,
+  /// with every shape holding as many weights as parents.
   void audit() const;
 
  private:
@@ -90,30 +81,13 @@ class SourceCache {
       return parent.size() * sizeof(core::NodeId) + weight.size() * sizeof(core::Weight);
     }
   };
-  struct Entry {
-    SourceKey key;
-    std::shared_ptr<const Shape> shape;
-  };
   struct KeyHash {
     std::size_t operator()(const SourceKey& k) const {
       return static_cast<std::size_t>(k.digest_lo);
     }
   };
 
-  /// The cached shape of `key`, refreshed to most recent, or nullptr.
-  [[nodiscard]] std::shared_ptr<const Shape> find(const SourceKey& key);
-  /// Stores `shape` as most recent and evicts down to the budget. The
-  /// shape must fit the budget on its own (tree() checks before building
-  /// it), or the eviction loop would empty the cache.
-  void insert(const SourceKey& key, std::shared_ptr<const Shape> shape);
-
-  const std::size_t budget_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<SourceKey, std::list<Entry>::iterator, KeyHash> map_;
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  ByteLru<SourceKey, Shape, KeyHash> shapes_;
 };
 
 }  // namespace ooctree::service

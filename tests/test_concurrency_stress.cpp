@@ -1,7 +1,7 @@
 // High-contention stress suite — the workload the tsan preset exists for.
 // Every test here drives >= 8 threads into the concurrent production path:
-// PlanService duplicate storms over the three dedup layers and the source
-// cache, explicit ThreadPool::shutdown() racing a pack of submitters,
+// PlanService duplicate storms over the three dedup layers, the source
+// cache and the tree-pass cache, explicit ThreadPool::shutdown() racing a pack of submitters,
 // sharded ResultCache eviction under concurrent hits, and mixed
 // submit/parallel_for traffic on one pool. The sizes are deliberately modest per operation (single-core
 // CI runners, 5-15x TSan slowdown) but the interleaving count is not: each
@@ -195,6 +195,83 @@ TEST(ConcurrencyStress, MatrixMarketStormSharesShapesAcrossWorkers) {
   EXPECT_GE(stats.source_misses, 3u + distinct.size());
   EXPECT_LE(stats.source_misses, 8u * 3u + distinct.size());
   EXPECT_EQ(stats.failed, 0u);
+  planner.audit(/*quiescent=*/true);
+}
+
+TEST(ConcurrencyStress, TreePassStormSharesStoredPassesAcrossThreads) {
+  // 8 threads race fused sweeps over 6 trees (two threads per tree, so
+  // inserts of one tree's pass race too), then 8 threads race singleton
+  // requests over the same trees while an auditor sweeps: non-binding ones
+  // read the stored passes, binding ones materialize. Every answer must
+  // match a single-thread cache-less service.
+  constexpr int kTrees = 6;
+  constexpr int kThreads = 8;
+  PlanService planner(ServiceConfig{.threads = 1});
+  const auto sweep_member = [](std::uint64_t tree, double memory_lb, std::int64_t id) {
+    PlanRequest request = synth_request(id, 300 + tree, /*nodes=*/400);
+    request.strategy = core::Strategy::kOptMinMem;
+    request.memory_lb = memory_lb;
+    return request;
+  };
+  std::vector<core::Weight> unbound(kTrees);  // total weight + LB never binds
+  {
+    std::vector<std::thread> fillers;
+    for (int t = 0; t < kThreads; ++t)
+      fillers.emplace_back([&, t] {
+        const auto tree = static_cast<std::uint64_t>(t % kTrees);
+        const std::vector<PlanResponse> sweep =
+            planner.plan_fused({sweep_member(tree, 1.0, t), sweep_member(tree, 1.5, t)});
+        EXPECT_TRUE(sweep[0].stats->ok) << sweep[0].stats->error;
+        if (t < kTrees) unbound[tree] = sweep[0].stats->total_weight + sweep[0].stats->lb;
+      });
+    for (auto& f : fillers) f.join();
+  }
+  ASSERT_EQ(planner.stats().pass_entries, static_cast<std::size_t>(kTrees));
+
+  std::vector<PlanRequest> requests;
+  for (int t = 0; t < kTrees; ++t)
+    for (const auto strategy : {core::Strategy::kOptMinMem, core::Strategy::kRecExpand}) {
+      for (const core::Weight extra : {0, 1, 2}) {
+        PlanRequest request = sweep_member(static_cast<std::uint64_t>(t), 1.0, 0);
+        request.strategy = strategy;
+        request.memory = unbound[static_cast<std::size_t>(t)] + extra;
+        requests.push_back(request);
+      }
+      PlanRequest binding = sweep_member(static_cast<std::uint64_t>(t), 1.0, 0);
+      binding.strategy = strategy;
+      requests.push_back(binding);
+    }
+  std::vector<std::vector<PlanResponse>> answers(kThreads);
+  std::atomic<bool> done{false};
+  std::thread auditor([&] {
+    while (!done.load()) planner.audit();
+  });
+  {
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kThreads; ++t)
+      readers.emplace_back([&, t] {
+        for (std::size_t k = 0; k < requests.size(); ++k)
+          answers[static_cast<std::size_t>(t)].push_back(
+              planner.plan(requests[(k + static_cast<std::size_t>(t) * 5) % requests.size()]));
+      });
+    for (auto& r : readers) r.join();
+  }
+  done.store(true);
+  auditor.join();
+
+  PlanService reference(ServiceConfig{.threads = 1, .cache_capacity = 0});
+  std::vector<std::shared_ptr<const PlanStats>> truth;
+  for (const PlanRequest& request : requests) truth.push_back(reference.plan(request).stats);
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      const PlanResponse& response = answers[static_cast<std::size_t>(t)][k];
+      ASSERT_TRUE(response.stats->ok) << response.stats->error;
+      EXPECT_TRUE(service::identical(
+          *response.stats, *truth[(k + static_cast<std::size_t>(t) * 5) % requests.size()]));
+    }
+  // Each non-binding (tree, strategy, bound) is answered from its pass at
+  // least once; racing duplicates may each be, the rest are cache hits.
+  EXPECT_GE(planner.stats().pass_answers, static_cast<std::uint64_t>(kTrees * 2 * 3));
   planner.audit(/*quiescent=*/true);
 }
 

@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/minmem_optimal.hpp"
@@ -476,6 +478,178 @@ TEST(PlanFused, UnexpandedRecExpandMembersMatchIndependentPlansInEitherOrder) {
     EXPECT_NO_THROW(fused_service.audit(/*quiescent=*/true));
   }
   EXPECT_EQ(independent.stats().fused_unexpanded, 0u);
+}
+
+/// The inline parent/weight twin of a SYNTH request's tree.
+PlanRequest parents_request(const PlanRequest& synth) {
+  const core::Tree tree = service::materialize_tree(synth, synth.seed);
+  PlanRequest request = synth;
+  request.source = TreeSource::kParents;
+  for (std::size_t v = 0; v < tree.size(); ++v) {
+    const auto id = static_cast<core::NodeId>(v);
+    request.parent.push_back(tree.parent(id));
+    request.weight.push_back(tree.weight(id));
+  }
+  return request;
+}
+
+TEST(TreePassCache, NonBindingAnswersMatchIndependentPlans) {
+  // A fused sweep stores its tree's OptMinMem pass. Later singleton and
+  // fused requests over that tree straddle the peak (peak - 1, peak,
+  // peak + 1) and sweep the tenant-repeat multiples of LB, for OptMinMem,
+  // RecExpand and FullRecExpand, plus a non-binding paged replay and a
+  // PostOrderMinIO request. Every answer must equal a cache-less plan(),
+  // and pass_answers must count exactly the answers taken from the stored
+  // pass: the first request of each (strategy, bound) at or above the
+  // peak without a replay, for one of those three strategies.
+  const core::Strategy strategies[] = {core::Strategy::kOptMinMem, core::Strategy::kRecExpand,
+                                       core::Strategy::kFullRecExpand};
+  const double multiples[] = {1.0, 1.1, 1.25, 1.5, 2.0, 3.0};
+  const ServiceConfig raw{.threads = 1, .cache_capacity = 0, .coalesce = false};
+  const ServiceConfig cached{.threads = 1, .cache_capacity = 4096};
+  PlanService independent(raw);
+  std::int64_t id = 0;
+  for (const bool inline_tree : {false, true}) {
+    for (const auto model : {core::MemoryModel::kMaxInOut, core::MemoryModel::kSumInOut}) {
+      for (const bool fused : {false, true}) {
+        SCOPED_TRACE(std::string(inline_tree ? "parents" : "synth") +
+                     (model == core::MemoryModel::kMaxInOut ? " max" : " sum") +
+                     (fused ? " fused" : " singletons"));
+        PlanRequest base = synth_request(0, /*seed=*/91, /*nodes=*/600);
+        if (inline_tree) base = parents_request(base);
+        base.model = model;
+        const core::Tree tree =
+            service::materialize_tree(base, service::effective_seed(base, raw.seed));
+        const core::Weight peak = core::opt_minmem(tree).peak;
+        ASSERT_GT(peak, tree.min_feasible_memory()) << "peak - 1 must be a feasible bound";
+
+        // (strategy, bound, replayed) of every answer the result cache holds.
+        std::set<std::tuple<core::Strategy, core::Weight, bool>> answered;
+        PlanService planner(cached);
+        std::vector<PlanRequest> sweep;
+        for (const core::Weight memory : {peak + 7, peak + 8}) {
+          PlanRequest request = base;
+          request.id = ++id;
+          request.strategy = core::Strategy::kOptMinMem;
+          request.memory = memory;
+          sweep.push_back(request);
+          answered.insert({request.strategy, memory, false});
+        }
+        for (const PlanResponse& response : planner.plan_fused(sweep))
+          ASSERT_TRUE(response.stats->ok) << response.stats->error;
+        ASSERT_EQ(planner.stats().pass_entries, 1u);
+        ASSERT_EQ(planner.stats().pass_answers, 0u);
+
+        std::vector<PlanRequest> requests;
+        for (const auto strategy : strategies) {
+          for (const core::Weight memory : {peak - 1, peak, peak + 1}) {
+            PlanRequest request = base;
+            request.strategy = strategy;
+            request.memory = memory;
+            requests.push_back(request);
+          }
+          for (const double lb : multiples) {
+            PlanRequest request = base;
+            request.strategy = strategy;
+            request.memory_lb = lb;
+            requests.push_back(request);
+          }
+        }
+        PlanRequest paged = base;  // non-binding, but a replay needs the tree
+        paged.strategy = core::Strategy::kRecExpand;
+        paged.memory = peak + 1;
+        parallel::ParallelConfig pc;
+        pc.workers = 4;
+        paged.parallel = pc;
+        paged.page_size = 4;
+        requests.push_back(paged);
+        PlanRequest postorder = base;  // PostOrderMinIO never follows OptMinMem
+        postorder.strategy = core::Strategy::kPostOrderMinIo;
+        postorder.memory = peak + 1;
+        requests.push_back(postorder);
+
+        std::uint64_t expected = 0;
+        for (PlanRequest& request : requests) {
+          request.id = ++id;
+          const core::Weight memory = service::resolve_memory(request, tree);
+          const bool replayed = request.parallel.has_value();
+          const bool fresh = answered.insert({request.strategy, memory, replayed}).second;
+          if (fresh && !replayed && memory >= peak &&
+              request.strategy != core::Strategy::kPostOrderMinIo)
+            ++expected;
+        }
+        ASSERT_GT(expected, 0u);
+
+        std::vector<PlanResponse> responses;
+        if (fused) {
+          responses = planner.plan_fused(requests);
+        } else {
+          for (const PlanRequest& request : requests) responses.push_back(planner.plan(request));
+        }
+        ASSERT_EQ(responses.size(), requests.size());
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          SCOPED_TRACE("strategy " + core::strategy_name(requests[i].strategy) + " memory " +
+                       std::to_string(requests[i].memory) + " memory_lb " +
+                       std::to_string(requests[i].memory_lb));
+          ASSERT_TRUE(responses[i].stats->ok) << responses[i].stats->error;
+          EXPECT_EQ(responses[i].id, requests[i].id);
+          const PlanResponse reference = independent.plan(requests[i]);
+          ASSERT_TRUE(reference.stats->ok) << reference.stats->error;
+          EXPECT_TRUE(service::identical(*responses[i].stats, *reference.stats));
+        }
+        EXPECT_EQ(planner.stats().pass_answers, expected);
+        EXPECT_EQ(planner.stats().pass_entries, 1u);
+        EXPECT_NO_THROW(planner.audit(/*quiescent=*/true));
+      }
+    }
+  }
+  EXPECT_EQ(independent.stats().pass_answers, 0u);
+  EXPECT_EQ(independent.stats().pass_entries, 0u);
+}
+
+TEST(TreePassCache, MoreTreesThanTheBudgetHoldsStayIdentical) {
+  // Schedules that together outgrow the tree-pass budget: the cache drops
+  // its least recently used passes and stays within the budget, and every
+  // answer, from a stored pass or recomputed after an eviction, equals a
+  // cache-less plan(). A bound of total weight + LB never binds.
+  constexpr std::size_t kNodes = 60000;
+  const std::size_t trees = service::kTreePassCacheBytes / (kNodes * sizeof(core::NodeId)) + 3;
+  const ServiceConfig raw{.threads = 1, .cache_capacity = 0, .coalesce = false};
+  PlanService planner(ServiceConfig{.threads = 1, .cache_capacity = 4096});
+  PlanService independent(raw);
+  std::int64_t id = 0;
+  const auto request_for = [&](std::size_t t, double memory_lb) {
+    PlanRequest request = synth_request(++id, 7000 + t, kNodes, memory_lb);
+    request.strategy = core::Strategy::kOptMinMem;
+    return request;
+  };
+  const auto query = [&](std::size_t t, core::Weight memory) {
+    PlanRequest request = request_for(t, 2.0);
+    request.strategy = core::Strategy::kRecExpand;
+    request.memory = memory;
+    const PlanResponse response = planner.plan(request);
+    ASSERT_TRUE(response.stats->ok) << response.stats->error;
+    EXPECT_TRUE(service::identical(*response.stats, *independent.plan(request).stats)) << t;
+  };
+  std::vector<core::Weight> unbound(trees);
+  for (std::size_t t = 0; t < trees; ++t) {
+    const std::vector<PlanResponse> sweep =
+        planner.plan_fused({request_for(t, 1.0), request_for(t, 1.5)});
+    ASSERT_TRUE(sweep[0].stats->ok) << sweep[0].stats->error;
+    unbound[t] = sweep[0].stats->total_weight + sweep[0].stats->lb;
+    query(t, unbound[t]);
+    EXPECT_EQ(planner.stats().pass_answers, t + 1);
+    EXPECT_LE(planner.stats().pass_bytes, service::kTreePassCacheBytes);
+    EXPECT_NO_THROW(planner.audit());
+  }
+  const service::ServiceStats filled = planner.stats();
+  EXPECT_LT(filled.pass_entries, trees);
+  EXPECT_GT(filled.pass_entries, 0u);
+  query(0, unbound[0] + 1);  // evicted long ago: planned again
+  EXPECT_EQ(planner.stats().pass_answers, trees);
+  query(trees - 1, unbound[trees - 1] + 1);  // the most recent pass is held
+  EXPECT_EQ(planner.stats().pass_answers, trees + 1);
+  EXPECT_NO_THROW(planner.audit(/*quiescent=*/true));
 }
 
 TEST(PlanFused, SingletonGroupsTakeTheOrdinaryServePath) {
