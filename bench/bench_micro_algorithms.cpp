@@ -89,6 +89,56 @@ void BM_FifSimulator(benchmark::State& state) {
 }
 BENCHMARK(BM_FifSimulator)->Arg(3000)->Arg(30000);
 
+// FiF at M = 1.05 * LB on OptMinMem's schedule, where memory binds early
+// and RecExpand runs its subtree FiF most (ROADMAP item 2).
+void BM_FifSimulator_NearLb(benchmark::State& state) {
+  const Tree t = synth(static_cast<std::size_t>(state.range(0)), 6);
+  const auto schedule = core::opt_minmem(t).schedule;
+  const Weight m = t.min_feasible_memory() * 105 / 100;
+  std::int64_t evictions = 0;
+  for (auto _ : state) {
+    const core::FifResult r = core::simulate_fif(t, schedule, m);
+    evictions = r.evictions;
+    benchmark::DoNotOptimize(r.io_volume);
+  }
+  state.counters["evictions"] = static_cast<double>(evictions);
+}
+BENCHMARK(BM_FifSimulator_NearLb)->Arg(4000)->Arg(16000);
+
+// Wide fan-in: a hub over `legs` two-node legs (a node above a heavier
+// leaf, so the star has `legs` leaves), run all leaves, then all leg
+// nodes, then the hub, at M = LB. Memory binds from the first steps, and
+// the leg nodes, all consumed at the hub's step, are active siblings that
+// FiF evicts by slot.
+void BM_FifSimulator_Star(benchmark::State& state) {
+  const auto legs = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(11);
+  std::vector<core::NodeId> parent(2 * legs + 1, 0);
+  std::vector<Weight> weight(2 * legs + 1, 1);
+  parent[0] = core::kNoNode;
+  core::Schedule schedule;
+  for (std::size_t k = 0; k < legs; ++k) {
+    const std::size_t node = 1 + k;
+    const std::size_t leaf = 1 + legs + k;
+    parent[leaf] = static_cast<core::NodeId>(node);
+    weight[node] = rng.uniform_int(1, 100);
+    weight[leaf] = weight[node] + rng.uniform_int(1, 100);
+    schedule.push_back(static_cast<core::NodeId>(leaf));
+  }
+  for (std::size_t k = 0; k < legs; ++k) schedule.push_back(static_cast<core::NodeId>(1 + k));
+  schedule.push_back(0);
+  const Tree t = Tree::from_parents(std::move(parent), std::move(weight));
+  const Weight m = t.min_feasible_memory();
+  std::int64_t evictions = 0;
+  for (auto _ : state) {
+    const core::FifResult r = core::simulate_fif(t, schedule, m);
+    evictions = r.evictions;
+    benchmark::DoNotOptimize(r.io_volume);
+  }
+  state.counters["evictions"] = static_cast<double>(evictions);
+}
+BENCHMARK(BM_FifSimulator_Star)->Arg(100000);
+
 void BM_RecExpand2(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 7);
   const Weight m = (t.min_feasible_memory() + core::opt_minmem_peak(t, t.root())) / 2;
@@ -153,11 +203,11 @@ void BM_SynthInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthInstance)->ArgsProduct({{4000, 16000}, {0, 1}});
 
-// The whole-tree postorder every from_parents, opt_minmem and rec_expand
-// call walks, at cold-plan sizes.
+// The whole-tree postorder walk, at cold-plan sizes: from_parents makes it
+// once and stores it, and a mapped snapshot makes it on first use.
 void BM_TreePostorder(benchmark::State& state) {
   const Tree t = synth(static_cast<std::size_t>(state.range(0)), 1);
-  for (auto _ : state) benchmark::DoNotOptimize(t.postorder().data());
+  for (auto _ : state) benchmark::DoNotOptimize(t.postorder(t.root()).data());
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TreePostorder)->Arg(4000)->Arg(16000);

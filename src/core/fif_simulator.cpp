@@ -4,17 +4,12 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "src/core/rank_set.hpp"
+
 namespace ooctree::core {
 
 namespace {
 std::size_t idx(NodeId i) { return static_cast<std::size_t>(i); }
-
-/// Active-set key: the step at which the datum's parent consumes it in the
-/// high half, its node id in the low half. FiF evicts the *latest*-consumed
-/// datum first, i.e. the max key; ties (siblings) go to the larger id.
-std::uint64_t active_key(std::size_t parent_step, NodeId node) {
-  return static_cast<std::uint64_t>(parent_step) << 32 | static_cast<std::uint32_t>(node);
-}
 
 /// Checks that `schedule` is topological and records each node's step in
 /// the same pass: step[i] is i's position plus one (0 while unseen).
@@ -59,28 +54,32 @@ FifResult simulate_fif(const Tree& tree, const Schedule& schedule, Weight memory
 
   // From the first binding step on, the full simulation. resident[i]: units
   // of node i's output currently in main memory. The active data — outputs
-  // already computed whose parent has not run — form a lazy-deletion
-  // max-heap of active_key (FiF victims are the heap top). It starts as the
-  // active set of the binding step and gains each later node when it
-  // executes, so it never exceeds n entries and is reserved up front.
-  // Consumption and full eviction clear in_active[]; stale entries are
-  // skipped when popped. The currently executing node's children are
-  // deactivated before any eviction, so they are never victims.
+  // already computed whose parent has not run — are kept by consumption
+  // rank (rank_set.hpp): one pass over the remaining steps numbers their
+  // child spans in schedule order, and FiF's victim is the largest active
+  // rank. Slot order within a span is id order, so this is the (parent
+  // step, id) order of fif_reference. The pass also seeds the set with the
+  // active data of the binding step. The currently executing node's
+  // children are deactivated before any eviction, so they are never victims.
   std::vector<Weight> resident(n, 0);
-  std::vector<char> in_active(n, 0);
-  std::vector<std::uint64_t> heap;
-  heap.reserve(n);
+  std::vector<std::uint32_t> rank(n, 0);  // node -> rank, for nodes consumed from step t on
+  std::vector<NodeId> node_of(n, kNoNode);  // rank -> node
+  RankSet active;
+  active.reset(n);
   Weight active_resident = 0;  // sum of resident[] over active data
+  std::uint32_t next_rank = 0;
   for (std::size_t u = t; u < n; ++u) {
     for (const NodeId c : tree.children(schedule[u])) {
-      if (step[idx(c)] > t) continue;  // runs at step t or later
-      resident[idx(c)] = tree.weight(c);
-      in_active[idx(c)] = 1;
-      active_resident += tree.weight(c);
-      heap.push_back(active_key(u + 1, c));
+      rank[idx(c)] = next_rank;
+      node_of[next_rank] = c;
+      if (step[idx(c)] <= t) {  // ran before step t
+        resident[idx(c)] = tree.weight(c);
+        active_resident += tree.weight(c);
+        active.insert(next_rank);
+      }
+      ++next_rank;
     }
   }
-  std::make_heap(heap.begin(), heap.end());
 
   for (; t < n; ++t) {
     const NodeId node = schedule[t];
@@ -89,10 +88,8 @@ FifResult simulate_fif(const Tree& tree, const Schedule& schedule, Weight memory
     // (reads are not counted; write volume was charged at eviction time)
     // and remove them from the active set.
     for (const NodeId c : tree.children(node)) {
-      if (resident[idx(c)] > 0) {
-        in_active[idx(c)] = 0;
-        active_resident -= resident[idx(c)];
-      }
+      active_resident -= resident[idx(c)];
+      active.erase(rank[idx(c)]);
       resident[idx(c)] = tree.weight(c);  // fully read back for execution
     }
 
@@ -104,24 +101,15 @@ FifResult simulate_fif(const Tree& tree, const Schedule& schedule, Weight memory
       return result;
     }
     while (active_resident > budget) {
-      const auto victim = static_cast<NodeId>(static_cast<std::uint32_t>(heap.front()));
-      if (!in_active[idx(victim)]) {  // stale: consumed or fully evicted
-        std::pop_heap(heap.begin(), heap.end());
-        heap.pop_back();
-        continue;
-      }
-      const Weight excess = active_resident - budget;
-      const Weight amount = std::min(excess, resident[idx(victim)]);
+      const std::size_t r = active.max();
+      const NodeId victim = node_of[r];
+      const Weight amount = std::min(active_resident - budget, resident[idx(victim)]);
       resident[idx(victim)] -= amount;
       active_resident -= amount;
       result.io[idx(victim)] += amount;
       result.io_volume += amount;
       ++result.evictions;
-      if (resident[idx(victim)] == 0) {
-        in_active[idx(victim)] = 0;
-        std::pop_heap(heap.begin(), heap.end());
-        heap.pop_back();
-      }
+      if (resident[idx(victim)] == 0) active.erase(r);
     }
     result.peak_resident = std::max(result.peak_resident, active_resident + tree.wbar(node));
 
@@ -129,9 +117,7 @@ FifResult simulate_fif(const Tree& tree, const Schedule& schedule, Weight memory
     // runs (the root's output simply stays resident).
     resident[idx(node)] = tree.weight(node);
     if (node != tree.root()) {
-      heap.push_back(active_key(step[idx(tree.parent(node))], node));
-      std::push_heap(heap.begin(), heap.end());
-      in_active[idx(node)] = 1;
+      active.insert(rank[idx(node)]);
       active_resident += tree.weight(node);
       // The output itself may immediately exceed the bound only if some
       // later wbar cannot accommodate it; eviction happens lazily at that

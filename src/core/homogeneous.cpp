@@ -25,7 +25,7 @@ HomogeneousLabels homogeneous_labels(const Tree& tree, Weight memory) {
   // sorted_children[v]: children by non-increasing l (the POSTORDER order).
   std::vector<std::vector<NodeId>> sorted_children(tree.size());
 
-  const std::vector<NodeId> order = tree.postorder();
+  const std::vector<NodeId>& order = tree.postorder();
   for (const NodeId v : order) {
     const auto kids = tree.children(v);
     auto& sorted = sorted_children[idx(v)];

@@ -16,7 +16,9 @@ PostOrderMinIoResult postorder_minio(const Tree& tree, NodeId root, Weight memor
 
   // Every node's children, copied once into one flat array; node i owns
   // the slice starting at first[i] and sorts it in place.
-  const std::vector<NodeId> order = tree.postorder(root);
+  std::vector<NodeId> walked;  // only a proper subtree needs its own walk
+  const std::vector<NodeId>& order =
+      root == tree.root() ? tree.postorder() : (walked = tree.postorder(root));
   std::vector<NodeId> sorted(order.size());
   std::vector<std::size_t> first(tree.size(), 0);
   std::size_t cursor = 0;

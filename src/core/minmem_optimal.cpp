@@ -151,7 +151,9 @@ OptMinMemResult run(const Tree& tree, NodeId root, bool want_schedule,
                     std::vector<Weight>* all_peaks = nullptr) {
   IncrementalMinMem engine;
   engine.reserve(tree.size());
-  const std::vector<NodeId> order = tree.postorder(root);
+  std::vector<NodeId> walked;  // only a proper subtree needs its own walk
+  const std::vector<NodeId>& order =
+      root == tree.root() ? tree.postorder() : (walked = tree.postorder(root));
   for (const NodeId node : order) {
     // Release mode: in a postorder the pool is a stack — each merged
     // sequence slides down over its children's — so it holds only the

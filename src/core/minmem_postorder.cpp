@@ -15,7 +15,9 @@ PostOrderMinMemResult postorder_minmem(const Tree& tree, NodeId root) {
   // filled once S values of all children are known (postorder sweep).
   std::vector<std::vector<NodeId>> sorted_children(tree.size());
 
-  const std::vector<NodeId> order = tree.postorder(root);
+  std::vector<NodeId> walked;  // only a proper subtree needs its own walk
+  const std::vector<NodeId>& order =
+      root == tree.root() ? tree.postorder() : (walked = tree.postorder(root));
   for (const NodeId i : order) {
     const auto kids = tree.children(i);
     auto& sorted = sorted_children[idx(i)];

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/minmem_optimal.hpp"
+#include "src/core/rank_set.hpp"
 
 namespace ooctree::core {
 
@@ -14,33 +15,24 @@ namespace {
 
 std::size_t idx(NodeId i) { return static_cast<std::size_t>(i); }
 
-/// Active-set entry of the subtree FiF: the step at which the datum's
-/// parent consumes it in the high half of `key`, the datum's slot in that
-/// parent's child span in the low half. FiF evicts the max key.
-struct ActiveEntry {
-  std::uint64_t key = 0;
-  NodeId node = kNoNode;
-  bool operator<(const ActiveEntry& o) const { return key < o.key; }
-};
-
 /// Per-node state of the subtree FiF, kept together so a step touches one
 /// cache line per node.
 struct NodeState {
   Weight resident = 0;     // resident units of the node's output
   Weight io = 0;           // FiF write amount
   std::uint32_t pos = 0;   // schedule position
-  std::uint32_t slot = 0;  // position in its parent's child span
-  bool in_active = false;  // currently in the active set
+  std::uint32_t rank = 0;  // consumption rank (rank_set.hpp)
 };
 
 /// Scratch buffers for the expand-and-retry loop, indexed by expanded-tree
-/// id and reused across iterations, so the hot path performs no
-/// steady-state allocation. An iteration touches only the entries of the
-/// nodes its schedule runs.
+/// id (or by rank) and reused across iterations, so the hot path performs
+/// no steady-state allocation. An iteration touches only the entries of
+/// the nodes its schedule runs.
 struct SubtreeScratch {
-  Schedule sched;                 // the engine's optimal schedule of the subtree
-  std::vector<NodeState> state;   // id -> FiF state
-  std::vector<ActiveEntry> heap;  // lazy-deletion max-heap of active data
+  Schedule sched;                // the engine's optimal schedule of the subtree
+  std::vector<NodeState> state;  // id -> FiF state
+  std::vector<NodeId> node_of;   // rank -> node
+  RankSet active;                // ranks of the active data
 };
 
 /// Grows v to at least s entries with geometric capacity growth: the tree
@@ -63,7 +55,8 @@ void grow(std::vector<T>& v, std::size_t s) {
 /// differ only between siblings, and a postorder visits siblings in span
 /// order, so ordering siblings by their slot in the parent's child span
 /// evicts exactly as the reference does: the resulting tau is the same bit
-/// for bit. The victim is tracked as evictions happen instead of by a scan
+/// for bit. The consumption rank (parent step, then slot) is that order.
+/// The victim is tracked as evictions happen instead of by a scan
 /// afterwards. Mirrors simulate_fif's infeasibility behaviour: on budget
 /// underflow it stops at once, and the victim reflects the partial io.
 NodeId subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& scratch) {
@@ -85,30 +78,35 @@ NodeId subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& s
   }
   if (first == steps) return kNoNode;
 
-  // The heap starts as the active set of the binding step: the outputs
+  // One pass over the remaining steps numbers the child spans in schedule
+  // order and seeds the active set of the binding step: the outputs
   // computed before it whose parent runs at that step or later. Children
   // run before their parent, so a child's position is set by the time its
   // parent's step is visited here.
-  std::vector<ActiveEntry>& heap = scratch.heap;
-  heap.clear();
+  grow(scratch.node_of, steps);
+  NodeId* const node_of = scratch.node_of.data();
+  RankSet& active = scratch.active;
+  active.reset(steps);
   Weight active_resident = 0;
+  std::uint32_t next_rank = 0;
   for (std::size_t t = first; t < steps; ++t) {
     state[idx(sched[t])].pos = static_cast<std::uint32_t>(t);
-    const auto kids = tree.children(sched[t]);
-    for (std::size_t k = 0; k < kids.size(); ++k) {
-      NodeState& cs = state[idx(kids[k])];
-      cs.slot = static_cast<std::uint32_t>(k);
-      if (cs.pos >= first) continue;  // enters the active set when it runs
-      cs.resident = tree.weight(kids[k]);
-      cs.io = 0;
-      cs.in_active = true;
-      active_resident += cs.resident;
-      heap.push_back({static_cast<std::uint64_t>(t) << 32 | k, kids[k]});
+    for (const NodeId c : tree.children(sched[t])) {
+      NodeState& cs = state[idx(c)];
+      cs.rank = next_rank;
+      node_of[next_rank] = c;
+      if (cs.pos < first) {  // otherwise it enters the active set when it runs
+        cs.resident = tree.weight(c);
+        cs.io = 0;
+        active_resident += cs.resident;
+        active.insert(next_rank);
+      }
+      ++next_rank;
     }
   }
-  std::make_heap(heap.begin(), heap.end());
   NodeId victim = kNoNode;
-  std::uint64_t victim_key = 0;
+  std::uint32_t victim_step = 0;  // schedule position of the victim's parent
+  std::size_t victim_rank = 0;
 
   for (std::size_t t = first; t < steps; ++t) {
     const NodeId node = sched[t];
@@ -118,10 +116,8 @@ NodeId subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& s
     // and remove them from the active set.
     for (const NodeId c : tree.children(node)) {
       NodeState& cs = state[idx(c)];
-      if (cs.resident > 0) {
-        cs.in_active = false;
-        active_resident -= cs.resident;
-      }
+      active_resident -= cs.resident;
+      active.erase(cs.rank);
       cs.resident = tree.weight(c);  // fully read back for execution
     }
 
@@ -130,48 +126,35 @@ NodeId subtree_fif(const Tree& tree, NodeId sr, Weight memory, SubtreeScratch& s
     const Weight budget = memory - tree.wbar(node);
     if (budget < 0) break;  // infeasible within the subtree: keep partial io
     while (active_resident > budget) {
-      const ActiveEntry top = heap.front();
-      NodeState& vs = state[idx(top.node)];
-      if (!vs.in_active) {  // stale (consumed or fully evicted)
-        std::pop_heap(heap.begin(), heap.end());
-        heap.pop_back();
-        continue;
-      }
-      const Weight excess = active_resident - budget;
-      const Weight amount = std::min(excess, vs.resident);
+      const std::size_t r = active.max();
+      NodeState& vs = state[idx(node_of[r])];
+      const Weight amount = std::min(active_resident - budget, vs.resident);
       if (amount > 0) {
         // Latest parent first; among siblings, the first slot.
-        const std::uint64_t step_of = top.key >> 32;
-        if (victim == kNoNode || step_of > victim_key >> 32 ||
-            (step_of == victim_key >> 32 && top.key < victim_key)) {
-          victim = top.node;
-          victim_key = top.key;
+        const std::uint32_t parent_step = state[idx(tree.parent(node_of[r]))].pos;
+        if (victim == kNoNode || parent_step > victim_step ||
+            (parent_step == victim_step && r < victim_rank)) {
+          victim = node_of[r];
+          victim_step = parent_step;
+          victim_rank = r;
         }
       }
       vs.resident -= amount;
       active_resident -= amount;
       vs.io += amount;
-      if (vs.resident == 0) {
-        vs.in_active = false;
-        std::pop_heap(heap.begin(), heap.end());
-        heap.pop_back();
-      }
+      if (vs.resident == 0) active.erase(r);
     }
 
     // The node's output is now resident; it becomes active until its parent
     // runs (the subtree root's output simply stays resident). A node's
-    // other fields are written here, or when the heap is built for the
-    // outputs active at the binding step, before anything in this run reads
-    // them.
+    // other fields are written here, or in the pass above for the outputs
+    // active at the binding step, before anything in this run reads them.
     NodeState& ns = state[idx(node)];
     ns.resident = tree.weight(node);
     ns.io = 0;
     if (node != sr) {
-      const std::uint32_t parent_step = state[idx(tree.parent(node))].pos;
-      heap.push_back({static_cast<std::uint64_t>(parent_step) << 32 | ns.slot, node});
-      std::push_heap(heap.begin(), heap.end());
-      ns.in_active = true;
-      active_resident += tree.weight(node);
+      active.insert(ns.rank);
+      active_resident += ns.resident;
     }
   }
   return victim;

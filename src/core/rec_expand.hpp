@@ -80,8 +80,9 @@ struct RecExpandResult {
 ///     their slot in the parent's child span — the reference's postorder
 ///     rank order — and the victim (latest parent, then first slot) is
 ///     tracked as evictions happen. As in simulate_fif, the steps before
-///     memory first binds track only the in-core volume, and the eviction
-///     heap is built from the active set at that step.
+///     memory first binds track only the in-core volume; from that step
+///     on, the active data are kept by consumption rank in a RankSet
+///     (rank_set.hpp) reused across iterations.
 ///   * `evaluation` is the FiF of the returned schedule; run_strategy
 ///     passes it on instead of simulating again.
 [[nodiscard]] RecExpandResult rec_expand(const Tree& tree, Weight memory,

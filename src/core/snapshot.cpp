@@ -142,6 +142,7 @@ Tree load_snapshot(const std::string& path) {
   t.max_wbar_ = h.max_wbar;
   t.total_weight_ = h.total_weight;
   t.model_ = static_cast<MemoryModel>(h.model);
+  t.drop_postorder();  // walked on first use, so loading stays O(1)
   return t;
 }
 

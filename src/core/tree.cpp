@@ -1,6 +1,7 @@
 #include "src/core/tree.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,6 +9,14 @@
 #include "src/util/rng.hpp"
 
 namespace ooctree::core {
+
+/// The whole-tree postorder, shared by the copies of a tree. The first
+/// reader to find it not ready walks, under the mutex.
+struct Tree::StoredPostorder {
+  std::mutex mutex;
+  bool ready = false;  // guarded by mutex
+  std::vector<NodeId> order;
+};
 
 Tree Tree::from_parents(std::vector<NodeId> parent, std::vector<Weight> weight,
                         MemoryModel model) {
@@ -53,9 +62,13 @@ Tree Tree::from_parents(std::vector<NodeId> parent, std::vector<Weight> weight,
   }
 
   // Acyclicity: every node must reach the root; equivalently the postorder
-  // from the root must visit all n nodes.
-  if (t.postorder(t.root_).size() != n)
+  // from the root must visit all n nodes. The walk is kept as the stored
+  // postorder.
+  t.postorder_ = std::make_shared<StoredPostorder>();
+  t.postorder_->order = t.postorder(t.root_);
+  if (t.postorder_->order.size() != n)
     throw std::invalid_argument("Tree: parent array contains a cycle or disconnected part");
+  t.postorder_->ready = true;
 
   t.total_weight_ = 0;
   for (NodeId i = 0; i < ni; ++i) {
@@ -72,6 +85,7 @@ Tree Tree::from_parents(std::vector<NodeId> parent, std::vector<Weight> weight,
 
 Tree::Tree(Tree&& other) noexcept
     : storage_(std::move(other.storage_)),
+      postorder_(std::move(other.postorder_)),
       arrays_(other.arrays_),
       size_(other.size_),
       root_(other.root_),
@@ -88,6 +102,7 @@ Tree::Tree(Tree&& other) noexcept
 Tree& Tree::operator=(Tree&& other) noexcept {
   if (this != &other) {
     storage_ = std::move(other.storage_);
+    postorder_ = std::move(other.postorder_);
     arrays_ = other.arrays_;
     size_ = other.size_;
     root_ = other.root_;
@@ -141,6 +156,25 @@ std::vector<NodeId> Tree::postorder(NodeId r) const {
   return out;
 }
 
+const std::vector<NodeId>& Tree::postorder() const {
+  StoredPostorder& s = *postorder_;
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  if (!s.ready) {
+    s.order = postorder(root_);
+    s.ready = true;
+  }
+  return s.order;  // written only while not ready, or by its sole owner
+}
+
+void Tree::drop_postorder() {
+  if (postorder_ != nullptr && postorder_.use_count() == 1) {
+    const std::lock_guard<std::mutex> lock(postorder_->mutex);
+    postorder_->ready = false;
+  } else {
+    postorder_ = std::make_shared<StoredPostorder>();
+  }
+}
+
 std::size_t Tree::subtree_size(NodeId r) const { return postorder(r).size(); }
 
 Tree Tree::with_memory_model(MemoryModel model) const {
@@ -168,7 +202,7 @@ std::size_t Tree::depth() const {
   std::vector<std::size_t> d(size(), 0);
   std::size_t best = 0;
   // Parents first: walk a reverse postorder.
-  const std::vector<NodeId> order = postorder();
+  const std::vector<NodeId>& order = postorder();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId i = *it;
     d[idx(i)] = (arrays_.parent[idx(i)] == kNoNode) ? 1 : d[idx(arrays_.parent[idx(i)])] + 1;

@@ -15,6 +15,12 @@
 // mutation path, TreeBuilder, promotes shared or mapped storage to a
 // private writable arena first (copy-on-write), so the backend is
 // unobservable through this API.
+//
+// The whole-tree postorder is stored next to the arena. from_parents keeps
+// the walk its acyclicity check makes; a mapped snapshot walks on the
+// first postorder() call (thread-safe), so loading stays O(1). Copies
+// share the stored order, and TreeBuilder drops it on the amended tree
+// only, which walks again on its next postorder() call.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +133,10 @@ class Tree {
   /// in stored (increasing-id) order. Iterative — safe on deep chains.
   [[nodiscard]] std::vector<NodeId> postorder(NodeId r) const;
 
-  /// Postorder of the whole tree (root() is the last element).
-  [[nodiscard]] std::vector<NodeId> postorder() const { return postorder(root_); }
+  /// Postorder of the whole tree (root() is the last element): the stored
+  /// order, equal to postorder(root()). Walked at most once per tree
+  /// structure; safe to call from several threads at once.
+  [[nodiscard]] const std::vector<NodeId>& postorder() const;
 
   /// Number of nodes in the subtree rooted at r.
   [[nodiscard]] std::size_t subtree_size(NodeId r) const;
@@ -172,7 +180,15 @@ class Tree {
   /// mirrored array pointers. The TreeBuilder mutation gate.
   void ensure_owned(std::size_t min_capacity);
 
+  /// Forgets the stored postorder, so the next postorder() call walks: after
+  /// a structural amendment (TreeBuilder), and for a freshly mapped tree
+  /// (load_snapshot). Resets it in place when no copy shares it, else
+  /// detaches this tree from the shared one.
+  void drop_postorder();
+
+  struct StoredPostorder;  // tree.cpp: the order, walked once under a mutex
   std::shared_ptr<TreeStorage> storage_;
+  std::shared_ptr<StoredPostorder> postorder_;
   TreeArrays arrays_;  ///< mirror of storage_->arrays() for 1-hop access
   std::size_t size_ = 0;
   NodeId root_ = kNoNode;

@@ -21,6 +21,7 @@ std::pair<NodeId, NodeId> TreeBuilder::expand(NodeId i, Weight tau) {
   // shared or mapped storage (copy-on-write) and grows by doubling, so a
   // run of expansions stays amortized O(1) per append.
   t_.ensure_owned(n + 2);
+  t_.drop_postorder();  // copies sharing the old order keep it
   TreeArrays& a = t_.arrays_;
 
   const auto i2 = static_cast<NodeId>(n);

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -21,10 +22,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/snapshot.hpp"
 #include "src/service/plan_service.hpp"
 #include "src/service/result_cache.hpp"
 #include "src/sparse/generators.hpp"
 #include "src/sparse/matrix_market.hpp"
+#include "src/treegen/random_binary.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 
@@ -129,6 +132,32 @@ TEST(ConcurrencyStress, AuditIsSafeWhileRequestsAreInFlight) {
   done.store(true);
   auditor.join();
   planner.audit(/*quiescent=*/true);
+}
+
+TEST(ConcurrencyStress, MappedTreeWalksItsPostorderOnceAcrossThreads) {
+  // A mapped snapshot walks its postorder on first use. 8 threads race that
+  // first call, on copies each made in its own thread, for several fresh
+  // loads: every thread must see the one shared order, equal to the owned
+  // tree's.
+  util::Rng rng(83);
+  const core::Tree owned = treegen::synth_instance(3000, 1, 100, rng);
+  const std::string path = ::testing::TempDir() + "stress_postorder.otree";
+  core::save_snapshot(path, owned);
+  for (int round = 0; round < 8; ++round) {
+    const core::Tree mapped = core::load_snapshot(path);
+    ASSERT_TRUE(mapped.is_mapped());
+    std::vector<const std::vector<core::NodeId>*> seen(8, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < seen.size(); ++k)
+      threads.emplace_back([&, k] {
+        const core::Tree copy = mapped;  // NOLINT(performance-unnecessary-copy-initialization)
+        seen[k] = &copy.postorder();
+      });
+    for (auto& thread : threads) thread.join();
+    for (const auto* order : seen) EXPECT_EQ(order, seen[0]) << "round " << round;
+    EXPECT_EQ(*seen[0], owned.postorder()) << "round " << round;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ConcurrencyStress, MatrixMarketStormSharesShapesAcrossWorkers) {

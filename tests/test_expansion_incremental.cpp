@@ -324,5 +324,28 @@ TEST(RecExpandIncremental, MatchesReferenceOnTiedSiblings) {
   }
 }
 
+// A broom (a chain above a hub of two-node legs): hundreds of active
+// siblings share the hub's step in the subtree FiF, so its rank order
+// among them decides the victims.
+TEST(RecExpandIncremental, MatchesReferenceOnBroom) {
+  util::Rng rng(1277);
+  const Tree shape = test::broom_tree(20, 150, 40, rng);
+  for (const MemoryModel model : {MemoryModel::kMaxInOut, MemoryModel::kSumInOut}) {
+    const Tree t = shape.with_memory_model(model);
+    const Weight lb = t.min_feasible_memory();
+    const Weight peak = core::opt_minmem(t).peak;
+    ASSERT_LT(lb, peak);
+    for (Weight m = lb; m < peak; m += std::max<Weight>(1, (peak - lb) / 6)) {
+      for (const std::size_t cap : {std::size_t{2}, std::numeric_limits<std::size_t>::max()}) {
+        RecExpandOptions opts;
+        opts.max_expansions_per_node = cap;
+        const RecExpandResult inc = core::rec_expand(t, m, opts);
+        EXPECT_GT(inc.expansions, 0U) << "M = " << m;
+        expect_same_rec_expand(inc, core::oracle::rec_expand_reference(t, m, opts));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ooctree

@@ -3,13 +3,16 @@
 // (tests/oracles/fif_reference.hpp).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/brute_force.hpp"
 #include "src/core/fif_simulator.hpp"
 #include "src/core/minmem_optimal.hpp"
+#include "src/core/rank_set.hpp"
 #include "test_support.hpp"
 #include "tests/oracles/fif_reference.hpp"
 
@@ -162,16 +165,55 @@ TEST(Fif, PeakResidentNeverExceedsMemory) {
   }
 }
 
+// --- The active set over dense ranks ---------------------------------------
+
+// Random inserts, erases (present or not) and max queries against a
+// std::set, at sizes on both sides of each level boundary (64, 64^2, 64^3),
+// reusing one RankSet across resets that shrink and grow it.
+TEST(RankSet, MatchesOrderedSet) {
+  util::Rng rng(67);
+  core::RankSet set;
+  for (const std::size_t n : {1, 2, 63, 64, 65, 4096, 4097, 300, 262144, 262145, 5000}) {
+    set.reset(n);
+    std::set<std::size_t> want;
+    EXPECT_EQ(set.max(), core::RankSet::npos) << "n=" << n;
+    for (int op = 0; op < 20000; ++op) {
+      const std::size_t r = rng.index(n);
+      if (rng.index(3) != 0) {
+        set.insert(r);
+        want.insert(r);
+      } else {
+        set.erase(r);
+        want.erase(r);
+      }
+      const std::size_t top = want.empty() ? core::RankSet::npos : *want.rbegin();
+      ASSERT_EQ(set.max(), top) << "n=" << n << " op=" << op;
+    }
+    while (!want.empty()) {  // drain from the top, as FiF evicts
+      ASSERT_EQ(set.max(), *want.rbegin()) << "n=" << n;
+      set.erase(*want.rbegin());
+      want.erase(std::prev(want.end()));
+    }
+    EXPECT_EQ(set.max(), core::RankSet::npos) << "n=" << n;
+  }
+}
+
 // --- Differential against the std::set oracle ----------------------------
 
 enum class Shape { kSynth, kSynthEqual, kCaterpillar, kCaterpillarEqual, kSpider,
-                   kRecursive, kRecursiveEqual, kRecursiveZero };
+                   kRecursive, kRecursiveEqual, kRecursiveZero, kStar, kBroom };
 
 /// Roughly n nodes of the given shape. The "Equal" variants give every node
 /// weight 1, so siblings tie on size and many active data share a parent
-/// step; "Zero" draws weights from [0, 3], so some outputs are empty.
+/// step; "Zero" draws weights from [0, 3], so some outputs are empty. Star
+/// and Broom (test::broom_tree) hang up to n/2 two-node legs under one hub,
+/// so thousands of active siblings share one parent step at n = 5000.
 Tree make_shape(Shape shape, std::size_t n, util::Rng& rng) {
   switch (shape) {
+    case Shape::kStar:
+      return test::broom_tree(0, (n - 1) / 2, 100, rng);
+    case Shape::kBroom:
+      return test::broom_tree(n / 4, (n - 1 - n / 4) / 2, 100, rng);
     case Shape::kSynth:
       return treegen::synth_instance(n, 1, 100, rng);
     case Shape::kSynthEqual:
@@ -232,10 +274,11 @@ class FifDifferential : public ::testing::TestWithParam<Shape> {};
 // Every FifResult field, under both memory models, for three schedules per
 // tree (OptMinMem's, the postorder, a random topological order) at bounds
 // from one below LB (infeasible: the partial result must match too) up to
-// the schedule's in-core peak.
+// the schedule's in-core peak. At n = 5000 ranks pass 64^2, so the
+// bitset's second summary level is used; that size runs one seed.
 TEST_P(FifDifferential, MatchesSetReference) {
-  for (const std::size_t n : {1, 2, 7, 60, 400}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+  for (const std::size_t n : {1, 2, 7, 60, 400, 5000}) {
+    for (std::uint64_t seed = 1; seed <= (n < 5000 ? 3 : 1); ++seed) {
       util::Rng rng(seed * 1000 + n);
       const Tree shape = make_shape(GetParam(), n, rng);
       for (const core::MemoryModel model :
@@ -274,6 +317,8 @@ const char* shape_label(Shape shape) {
     case Shape::kRecursive: return "Recursive";
     case Shape::kRecursiveEqual: return "RecursiveEqual";
     case Shape::kRecursiveZero: return "RecursiveZero";
+    case Shape::kStar: return "Star";
+    case Shape::kBroom: return "Broom";
   }
   return "Unknown";
 }
@@ -288,7 +333,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FifDifferential,
                          ::testing::Values(Shape::kSynth, Shape::kSynthEqual, Shape::kCaterpillar,
                                            Shape::kCaterpillarEqual, Shape::kSpider,
                                            Shape::kRecursive, Shape::kRecursiveEqual,
-                                           Shape::kRecursiveZero),
+                                           Shape::kRecursiveZero, Shape::kStar, Shape::kBroom),
                          shape_name);
 
 // Malformed schedules are rejected by both, before anything is simulated.

@@ -36,6 +36,29 @@ inline core::Tree small_random_wide_tree(std::size_t n, core::Weight w_hi, util:
   return treegen::with_uniform_weights(shape, 1, w_hi, rng);
 }
 
+/// A broom: a chain of `handle` nodes above a hub (node `handle`; the hub is
+/// the root when handle == 0, a star) with `legs` two-node legs, a node
+/// above a leaf. The chain nodes weigh 1, a leg's node [1, w_hi], and its
+/// leaf outweighs it by [1, w_hi], so under either memory model even
+/// OptMinMem's schedule needs more than LB: memory binds while many active
+/// siblings share the hub's step.
+inline core::Tree broom_tree(std::size_t handle, std::size_t legs, core::Weight w_hi,
+                             util::Rng& rng) {
+  std::vector<core::NodeId> parent;
+  std::vector<core::Weight> weight;
+  for (std::size_t k = 0; k <= handle; ++k) {
+    parent.push_back(k == 0 ? core::kNoNode : static_cast<core::NodeId>(k - 1));
+    weight.push_back(1);
+  }
+  for (std::size_t k = 0; k < legs; ++k) {
+    parent.push_back(static_cast<core::NodeId>(handle));
+    weight.push_back(rng.uniform_int(1, w_hi));
+    parent.push_back(static_cast<core::NodeId>(parent.size() - 1));
+    weight.push_back(weight.back() + rng.uniform_int(1, w_hi));
+  }
+  return core::Tree::from_parents(std::move(parent), std::move(weight));
+}
+
 /// Asserts that (schedule, io) is a valid traversal under `memory`.
 inline void expect_valid_traversal(const core::Tree& tree, const core::Schedule& schedule,
                                    const core::IoFunction& io, core::Weight memory) {

@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/core/snapshot.hpp"
 #include "src/core/tree.hpp"
+#include "src/core/tree_builder.hpp"
 #include "src/core/tree_io.hpp"
 #include "src/treegen/shapes.hpp"
 #include "test_support.hpp"
@@ -115,6 +118,74 @@ TEST(Tree, PostorderMatchesRecursiveReference) {
     }
     EXPECT_EQ(t.postorder(), t.postorder(t.root())) << name;
   }
+}
+
+// --- The stored whole-tree postorder ---------------------------------------
+
+std::vector<NodeId> fresh_walk(const Tree& t) { return t.postorder(t.root()); }
+
+// from_parents keeps its acyclicity walk; with_memory_model and subtree go
+// through from_parents; a mapped snapshot walks on first use. Each must
+// hold exactly the order a fresh walk from the root gives.
+TEST(TreeStoredPostorder, EqualsAFreshWalkOnEveryConstructionRoute) {
+  util::Rng rng(31);
+  const Tree t = relabelled(test::small_random_wide_tree(400, 50, rng), rng);
+  EXPECT_EQ(t.postorder(), fresh_walk(t));
+  const Tree sum = t.with_memory_model(core::MemoryModel::kSumInOut);
+  EXPECT_EQ(sum.postorder(), fresh_walk(sum));
+  for (const NodeId r : t.children(t.root())) {
+    const Tree sub = t.subtree(r);
+    EXPECT_EQ(sub.postorder(), fresh_walk(sub)) << "subtree of " << r;
+  }
+  const std::string path = ::testing::TempDir() + "stored_postorder.otree";
+  core::save_snapshot(path, t);
+  const Tree mapped = core::load_snapshot(path);
+  std::remove(path.c_str());  // the mapping outlives the name
+  ASSERT_TRUE(mapped.is_mapped());
+  EXPECT_EQ(mapped.postorder(), fresh_walk(mapped));
+  EXPECT_EQ(mapped.postorder(), t.postorder());
+}
+
+// A copy shares the original's stored order, also when the copy is made
+// before a mapped tree's first postorder() call.
+TEST(TreeStoredPostorder, CopiesShareOneOrder) {
+  util::Rng rng(37);
+  const Tree t = test::small_random_tree(200, 20, rng);
+  const Tree copy = t;  // NOLINT(performance-unnecessary-copy-initialization): the copy is the test
+  EXPECT_EQ(&copy.postorder(), &t.postorder());
+  Tree assigned = sample_tree();
+  assigned = t;
+  EXPECT_EQ(&assigned.postorder(), &t.postorder());
+
+  const std::string path = ::testing::TempDir() + "stored_postorder_copies.otree";
+  core::save_snapshot(path, t);
+  const Tree mapped = core::load_snapshot(path);
+  std::remove(path.c_str());
+  const Tree mapped_copy = mapped;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(&mapped_copy.postorder(), &mapped.postorder());
+  EXPECT_EQ(mapped.postorder(), t.postorder());
+}
+
+// TreeBuilder drops the order on the amended tree only: the original (which
+// shared it) keeps its vector untouched, and the expanded tree walks again,
+// whether its previous order was shared (the first expansion) or its own
+// (every later one).
+TEST(TreeStoredPostorder, ExpandingACopyLeavesTheOriginalIntact) {
+  util::Rng rng(41);
+  const Tree t = test::small_random_wide_tree(120, 30, rng);
+  const std::vector<NodeId>& stored = t.postorder();
+  const std::vector<NodeId> before = stored;
+  core::TreeBuilder builder(t);
+  for (int k = 0; k < 12; ++k) {
+    const auto victim = static_cast<NodeId>(rng.index(builder.tree().size()));
+    (void)builder.expand(victim, builder.tree().weight(victim) / 2);
+    EXPECT_EQ(builder.tree().postorder(), fresh_walk(builder.tree())) << "expansion " << k;
+  }
+  EXPECT_EQ(&t.postorder(), &stored);
+  EXPECT_EQ(t.postorder(), before);
+  const Tree expanded = builder.take();
+  EXPECT_EQ(expanded.size(), t.size() + 24);
+  EXPECT_EQ(expanded.postorder(), fresh_walk(expanded));
 }
 
 TEST(Tree, SubtreeExtraction) {
